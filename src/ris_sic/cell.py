@@ -12,6 +12,14 @@ difference at any probe frequency is set by how far the two resonances are
 pulled apart.  :meth:`UnitCellModel.with_phase_target` solves for a symmetric
 resonance split that realizes a requested phase difference at a given center
 frequency.
+
+Every SI evaluation asks for the same two reflections on the same grid, so
+:meth:`UnitCellModel.reflection` memoises array results per model instance.
+The key is the state plus the shape and bytes of the frequencies converted to
+float64, the values the pole is evaluated at, so arrays that share raw bytes
+but differ in dtype or shape get separate entries.  The memo holds at most
+``REFLECTION_MEMO_SIZE`` entries and hands out read-only arrays, so no caller
+can alter what the next one receives; scalar frequencies are computed afresh.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+
+REFLECTION_MEMO_SIZE = 64
 
 
 def _pole_phase(f_hz, resonance_hz: float, quality_factor: float):
@@ -63,6 +73,8 @@ class UnitCellModel:
             raise ValueError("resonance frequencies must be positive")
         if self.quality_factor <= 0.0:
             raise ValueError(f"quality_factor must be positive, got {self.quality_factor}")
+        # Not a dataclass field: equality, hashing and repr ignore it.
+        object.__setattr__(self, "_reflection_memo", {})
 
     @classmethod
     def with_phase_target(
@@ -115,7 +127,26 @@ class UnitCellModel:
         return cell
 
     def reflection(self, state, f_hz):
-        """Complex reflection coefficient; broadcasts over frequency arrays."""
+        """Complex reflection coefficient; broadcasts over frequency arrays.
+
+        Array results are memoised and read-only; a scalar frequency gives a
+        fresh scalar.
+        """
+        f = np.asarray(f_hz, dtype=np.float64)
+        if f.ndim == 0:
+            return self._reflection(state, f_hz)
+        memo = self._reflection_memo
+        key = (bool(state), f.shape, f.tobytes())
+        gamma = memo.get(key)
+        if gamma is None:
+            gamma = self._reflection(state, f)
+            gamma.setflags(write=False)
+            if len(memo) >= REFLECTION_MEMO_SIZE:
+                memo.clear()
+            memo[key] = gamma
+        return gamma
+
+    def _reflection(self, state, f_hz):
         if state:
             amp, res = self.amplitude_on, self.resonance_on_hz
         else:

@@ -371,7 +371,7 @@ def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np
     gamma_on = cell.reflection(True, freqs)
     gamma_off = cell.reflection(False, freqs)
     gam = np.where(flat_states[:, None], gamma_on[None, :], gamma_off[None, :])
-    return direct + np.sum(h * gam * g, axis=0)
+    return direct + (h * gam * g).sum(axis=0)
 
 
 def _check_dims(scene: Scene, config: RisConfig):

@@ -31,6 +31,11 @@ class EvaluationError(RuntimeError):
         self.iteration = iteration
 
 
+def _evaluation_error(iteration: int, exc: Exception) -> EvaluationError:
+    """Wrap a backend failure, keeping the cause's type name in the message."""
+    return EvaluationError(iteration, f"{type(exc).__name__}: {exc}")
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
     """Per-evaluation history of one search run.
@@ -99,7 +104,7 @@ def sample_config(ratio: np.ndarray, rng: np.random.Generator) -> RisConfig:
     ratio = np.asarray(ratio, dtype=np.float64)
     if ratio.ndim != 2:
         raise ValueError(f"ratio must be a 2-D matrix, got ndim={ratio.ndim}")
-    if np.any(ratio < 0.0) or np.any(ratio > 1.0):
+    if ratio.min() < 0.0 or ratio.max() > 1.0:
         raise ValueError("activation ratios must lie in [0, 1]")
     return RisConfig(rng.random(ratio.shape) < ratio)
 
@@ -157,7 +162,7 @@ class GreedyOptimizer:
         try:
             reading = self.backend.evaluate(config)
         except Exception as exc:  # noqa: BLE001 - re-raise with run context
-            raise EvaluationError(self.iteration, str(exc)) from exc
+            raise _evaluation_error(self.iteration, exc) from exc
         self.iteration += 1
         value = reading.magnitude_db
         self._evaluated.append(value)
@@ -209,13 +214,15 @@ class GreedyOptimizer:
         else:
             self.termination_count += 1
         if value < self._readings[-1]:
-            self._readings[-1] = value
-            self._configs[-1] = cand
-            self._matrix[-1] = cand.flat().astype(np.float64)
-            order = np.argsort(self._readings, kind="stable")
-            self._readings = self._readings[order]
-            self._configs = [self._configs[i] for i in order]
-            self._matrix = self._matrix[order]
+            # The candidate displaces the worst member.  A stable sort would
+            # put it after every equal reading, which is this position.
+            pos = int(np.searchsorted(self._readings[:-1], value, side="right"))
+            self._readings[pos + 1:] = self._readings[pos:-1]
+            self._readings[pos] = value
+            self._configs.insert(pos, cand)
+            del self._configs[-1]
+            self._matrix[pos + 1:] = self._matrix[pos:-1]
+            self._matrix[pos] = cand.flat()
         return value
 
     def run(self, max_evaluations: Optional[int] = None) -> ConvergenceTrace:
@@ -270,8 +277,8 @@ def random_search(
         cand = sample_config(half, rng)
         try:
             reading = backend.evaluate(cand)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationError(i, str(exc)) from exc
+        except Exception as exc:  # noqa: BLE001 - re-raise with run context
+            raise _evaluation_error(i, exc) from exc
         value = reading.magnitude_db
         evaluated.append(value)
         if best_si is None or value < best_si.magnitude_db:
@@ -290,6 +297,7 @@ def random_search(
 
 
 EXHAUSTIVE_LIMIT = 20
+EXHAUSTIVE_BLOCK = 4096  # states whose bit rows are built at once
 
 
 def exhaustive_search(backend: EvaluationBackend) -> tuple[RisConfig, SiReading]:
@@ -297,7 +305,8 @@ def exhaustive_search(backend: EvaluationBackend) -> tuple[RisConfig, SiReading]
 
     States are visited in lexicographic order of the row-major bit string
     (element (0, 0) most significant); ties keep the earliest, i.e. the
-    lexicographically smallest optimum.
+    lexicographically smallest optimum.  A failing evaluation raises
+    :class:`EvaluationError` carrying the state's index in that order.
     """
     nx, ny = backend.dims()
     n = nx * ny
@@ -308,11 +317,16 @@ def exhaustive_search(backend: EvaluationBackend) -> tuple[RisConfig, SiReading]
     shifts = np.arange(n - 1, -1, -1)
     best_config: Optional[RisConfig] = None
     best_si: Optional[SiReading] = None
-    for code in range(2**n):
-        bits = (code >> shifts) & 1
-        cand = RisConfig(bits.astype(bool).reshape(nx, ny))
-        reading = backend.evaluate(cand)
-        if best_si is None or reading.magnitude_db < best_si.magnitude_db:
-            best_si = reading
-            best_config = cand
+    for start in range(0, 2**n, EXHAUSTIVE_BLOCK):
+        codes = np.arange(start, min(start + EXHAUSTIVE_BLOCK, 2**n))
+        block = ((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, nx, ny)
+        for code, bits in enumerate(block, start):
+            cand = RisConfig(bits)
+            try:
+                reading = backend.evaluate(cand)
+            except Exception as exc:  # noqa: BLE001 - re-raise with run context
+                raise _evaluation_error(code, exc) from exc
+            if best_si is None or reading.magnitude_db < best_si.magnitude_db:
+                best_si = reading
+                best_config = cand
     return best_config, best_si

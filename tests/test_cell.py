@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_sic.cell import UnitCellModel, _split_phase_gap_rad, element_reflection
+from ris_sic.cell import (
+    REFLECTION_MEMO_SIZE,
+    UnitCellModel,
+    _pole_phase,
+    _split_phase_gap_rad,
+    element_reflection,
+)
 
 FC = 5.385e9
 
@@ -95,6 +101,64 @@ class TestReflection:
         cell = UnitCellModel.with_phase_target(FC)
         assert element_reflection(True, FC, cell) == cell.reflection(True, FC)
         assert element_reflection(False, FC, cell) == cell.reflection(False, FC)
+
+
+def _fresh_reflection(cell, state, f_hz):
+    """The reflection formula evaluated without the memo."""
+    amp = cell.amplitude_on if state else cell.amplitude_off
+    res = cell.resonance_on_hz if state else cell.resonance_off_hz
+    return amp * np.exp(1j * np.asarray(_pole_phase(f_hz, res, cell.quality_factor)))
+
+
+class TestReflectionMemo:
+    def test_hits_and_misses_equal_a_fresh_computation(self):
+        cell = UnitCellModel.with_phase_target(FC)
+        grids = [np.array([FC]), np.linspace(FC - 5e6, FC + 5e6, 11),
+                 np.linspace(FC - 10e6, FC + 10e6, 201)]
+        for _ in range(2):  # first pass fills the memo, second reads it
+            for freqs in grids:
+                for state in (True, False):
+                    got = cell.reflection(state, freqs)
+                    assert np.array_equal(got, _fresh_reflection(cell, state, freqs))
+        assert len(cell._reflection_memo) == 2 * len(grids)
+
+    def test_results_are_read_only_and_shared(self):
+        cell = UnitCellModel.with_phase_target(FC)
+        freqs = np.linspace(FC - 5e6, FC + 5e6, 11)
+        first = cell.reflection(True, freqs)
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert cell.reflection(True, freqs.copy()) is first
+
+    def test_scalar_is_not_memoised(self):
+        cell = UnitCellModel.with_phase_target(FC)
+        assert cell.reflection(True, FC) == _fresh_reflection(cell, True, FC)
+        assert cell._reflection_memo == {}
+
+    def test_same_bytes_different_dtype_or_shape_do_not_collide(self):
+        cell = UnitCellModel.with_phase_target(FC)
+        as_float = np.array([FC, FC + 1e6])
+        as_int = as_float.view(np.int64)  # identical bytes, other values
+        as_matrix = as_float.reshape(1, 2)  # identical bytes, other shape
+        for freqs in (as_float, as_int, as_matrix, as_float):
+            got = cell.reflection(False, freqs)
+            assert got.shape == freqs.shape
+            assert np.array_equal(got, _fresh_reflection(cell, False, freqs))
+
+    def test_memo_stays_bounded(self):
+        cell = UnitCellModel.with_phase_target(FC)
+        for i in range(3 * REFLECTION_MEMO_SIZE):
+            freqs = np.array([FC + i])
+            assert np.array_equal(cell.reflection(i % 2 == 0, freqs),
+                                  _fresh_reflection(cell, i % 2 == 0, freqs))
+            assert len(cell._reflection_memo) <= REFLECTION_MEMO_SIZE
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        a = UnitCellModel.with_phase_target(FC)
+        b = UnitCellModel.with_phase_target(FC)
+        a.reflection(True, np.array([FC]))
+        assert a == b and hash(a) == hash(b)
+        assert "memo" not in repr(a)
 
 
 class TestValidation:

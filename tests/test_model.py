@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,37 @@ class TestSiReading:
         r = SiReading.from_per_point([-50.0, -44.0])
         with pytest.raises(ValueError):
             r.per_point_db[0] = 0.0
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SiReading(-44.0, np.array([np.nan, -44.0])),
+         "per_point_db must not contain NaN"),
+        (lambda: SiReading.from_per_point([-50.0, np.nan]),
+         "per_point_db must not contain NaN"),
+        (lambda: SiReading(-45.0, np.array([-50.0, -44.0])),
+         "magnitude_db (-45.0) must equal max(per_point_db) (-44.0)"),
+        (lambda: SiReading(float("nan"), np.array([-44.0])),
+         "magnitude_db (nan) must equal max(per_point_db) (-44.0)"),
+        (lambda: SiReading(-44.0, np.array([[-44.0]])),
+         "per_point_db must be a non-empty 1-D array"),
+        (lambda: SiReading(-44.0, np.array([])),
+         "per_point_db must be a non-empty 1-D array"),
+        (lambda: SiReading.from_per_point([[-50.0], [-44.0]]),
+         "per_point_db must be a non-empty 1-D array"),
+        (lambda: SiReading.from_per_point([]),
+         "per_point_db must be a non-empty 1-D array"),
+    ])
+    def test_error_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_from_per_point_equals_constructor_and_copies(self):
+        per = np.array([-50.0, -44.0, float("-inf")])
+        r = SiReading.from_per_point(per)
+        assert r == SiReading(-44.0, per)
+        assert type(r.magnitude_db) is float
+        assert per.flags.writeable and not r.per_point_db.flags.writeable
+        per[1] = 0.0
+        assert r.per_point_db[1] == -44.0
 
     @given(st.lists(st.floats(min_value=-200, max_value=0), min_size=1, max_size=16))
     def test_from_per_point_fuzz(self, vals):

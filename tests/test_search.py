@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from ris_sic.backend import SimulatedBackend
 from ris_sic.channel import si_magnitude_db
-from ris_sic.model import RisConfig, SiReading
+from ris_sic.model import FrequencyGrid, RisConfig, SiReading
 from ris_sic.search import (
+    EXHAUSTIVE_BLOCK,
     EXHAUSTIVE_LIMIT,
     ConvergenceTrace,
     EvaluationError,
@@ -185,6 +186,55 @@ class TestGreedyOptimizer:
         assert opt.iteration == 11
 
 
+class TiedBackend:
+    """Few reading levels plus -inf, so buffer ties are frequent; records the
+    configuration it scored last."""
+
+    def __init__(self, nx, ny, salt):
+        self._inner = HashBackend(nx, ny, salt=salt)
+        self._nx, self._ny = nx, ny
+        self.last = None
+
+    def evaluate(self, config):
+        self.last = config
+        level = int(-self._inner.evaluate(config).magnitude_db * 1e6) % 13
+        value = float("-inf") if level == 0 else -40.0 - 5.0 * (level % 4)
+        return SiReading.from_per_point([value])
+
+    def dims(self):
+        return (self._nx, self._ny)
+
+    def grid(self):
+        return self._inner.grid()
+
+
+class TestBufferInsertion:
+    """The in-place insertion against the stable re-sort it replaces."""
+
+    @pytest.mark.parametrize("salt", range(4))
+    def test_matches_stable_argsort_buffer_step_by_step(self, salt):
+        backend = TiedBackend(3, 3, salt)
+        opt = GreedyOptimizer(backend, 8, 400, np.random.default_rng(salt))
+        readings = opt.buffer_readings
+        configs = list(opt.buffer_configs)
+        tied_finite = tied_inf = 0  # replacements equal to a kept reading
+        while not opt.finished:
+            value = opt.step()
+            if value < readings[-1]:
+                if value in readings[:-1]:
+                    tied_finite += np.isfinite(value)
+                    tied_inf += np.isneginf(value)
+                readings[-1] = value
+                configs[-1] = backend.last
+                order = np.argsort(readings, kind="stable")
+                readings = readings[order]
+                configs = [configs[i] for i in order]
+            assert np.array_equal(opt.buffer_readings, readings)
+            assert all(a is b for a, b in zip(opt.buffer_configs, configs, strict=True))
+            assert np.array_equal(opt.activation_ratio(), weighted_activation_ratio(configs))
+        assert tied_finite > 0 and tied_inf > 0
+
+
 class TestInvariantFuzz:
     """Randomized structural checking; the acceptance gate reruns this harness
     at larger scale."""
@@ -270,6 +320,33 @@ class TestExhaustiveSearch:
         # code 0 (all OFF) is the first even-parity state enumerated
         assert best_config == RisConfig.all_off(2, 2)
 
+    def test_block_boundary_keeps_order_and_earliest_tie(self):
+        n = 13  # two blocks of bit rows
+        assert 2**n == 2 * EXHAUSTIVE_BLOCK
+        tied = {EXHAUSTIVE_BLOCK + 1, EXHAUSTIVE_BLOCK + 7, 2 * EXHAUSTIVE_BLOCK - 1}
+
+        class RecordingBackend:
+            def __init__(self):
+                self.codes = []
+
+            def evaluate(self, config):
+                code = int("".join("1" if b else "0" for b in config.flat()), 2)
+                self.codes.append(code)
+                return SiReading.from_per_point([-50.0 if code in tied else -40.0])
+
+            def dims(self):
+                return (1, n)
+
+            def grid(self):
+                return FrequencyGrid.narrowband(5.385e9)
+
+        backend = RecordingBackend()
+        best_config, best_si = exhaustive_search(backend)
+        assert backend.codes == list(range(2**n))
+        assert best_si.magnitude_db == -50.0
+        expected = [(EXHAUSTIVE_BLOCK + 1) >> (n - 1 - j) & 1 for j in range(n)]
+        assert np.array_equal(best_config.flat(), np.array(expected, dtype=bool))
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match=str(EXHAUSTIVE_LIMIT)):
             exhaustive_search(HashBackend(3, 7))
@@ -277,6 +354,34 @@ class TestExhaustiveSearch:
     def test_limit_is_twenty(self):
         assert EXHAUSTIVE_LIMIT == 20
         exhaustive_search(SimulatedBackend(synthetic_scene(1, 2, points=1)))  # well under
+
+
+class RaisingBackend(SimulatedBackend):
+    """Simulated 2x2 scene whose third evaluation raises."""
+
+    def __init__(self):
+        super().__init__(synthetic_scene(2, 2, points=3, seed=5))
+        self.calls = 0
+
+    def evaluate(self, config):
+        self.calls += 1
+        if self.calls == 3:
+            raise FloatingPointError("overflow in the receiver")
+        return super().evaluate(config)
+
+
+@pytest.mark.parametrize("search", [
+    exhaustive_search,
+    lambda b: greedy_optimize(b, 4, 10, np.random.default_rng(0)),
+    lambda b: random_search(b, 10, np.random.default_rng(0)),
+], ids=["exhaustive", "greedy", "random"])
+def test_every_search_reports_the_failing_evaluation(search):
+    with pytest.raises(EvaluationError) as exc_info:
+        search(RaisingBackend())
+    err = exc_info.value
+    assert err.iteration == 2
+    assert str(err) == "evaluation 2 failed: FloatingPointError: overflow in the receiver"
+    assert isinstance(err.__cause__, FloatingPointError)
 
 
 class TestConvergenceTrace:
