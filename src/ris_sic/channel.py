@@ -370,8 +370,21 @@ def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np
     freqs = np.asarray(freqs, dtype=np.float64)
     gamma_on = cell.reflection(True, freqs)
     gamma_off = cell.reflection(False, freqs)
-    gam = np.where(flat_states[:, None], gamma_on[None, :], gamma_off[None, :])
+    gam = np.where(flat_states[:, None], gamma_on, gamma_off)
     return direct + (h * gam * g).sum(axis=0)
+
+
+def _amplitude_db(transfer: np.ndarray) -> np.ndarray:
+    """20*log10 |H| (amplitude dB); a vanished H reads -inf without a warning.
+
+    Zeros occur only at exact cancellation, so the ``errstate`` context, which
+    costs more than the check, is entered only when one is present.
+    """
+    mag = np.abs(transfer)
+    if np.count_nonzero(mag) != mag.size:
+        with np.errstate(divide="ignore"):
+            return 20.0 * np.log10(mag)
+    return 20.0 * np.log10(mag)
 
 
 def _check_dims(scene: Scene, config: RisConfig):
@@ -398,8 +411,7 @@ def si_per_point_db(scene: Scene, config: RisConfig) -> np.ndarray:
     _check_dims(scene, config)
     full = transfer_vector(scene.direct, scene.h, scene.g, scene.cell,
                            scene.grid.points, config.flat())
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(np.abs(full))
+    return _amplitude_db(full)
 
 
 def si_magnitude_db(scene: Scene, config: RisConfig) -> SiReading:

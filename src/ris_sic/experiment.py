@@ -17,7 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .backend import SimulatedBackend
-from .channel import GridSpec, Scene, SceneParams, build_scene, transfer_vector
+from .channel import (
+    GridSpec, Scene, SceneParams, _amplitude_db, _check_dims, build_scene,
+    transfer_vector,
+)
 from .model import RisConfig
 from .search import ConvergenceTrace, greedy_optimize, random_search
 from .sceneio import flatten_scene_params
@@ -268,11 +271,7 @@ def transfer_snapshot(
         raise ValueError(f"snapshot needs >= 2 points, got {points}")
     if span_hz <= 0.0:
         raise ValueError(f"span must be positive, got {span_hz}")
-    if (config.nx, config.ny) != (scene.nx, scene.ny):
-        raise ValueError(
-            f"configuration is {config.nx}x{config.ny} but the scene expects "
-            f"{scene.nx}x{scene.ny}"
-        )
+    _check_dims(scene, config)
     freqs = np.linspace(
         scene.grid.center_hz - span_hz / 2.0,
         scene.grid.center_hz + span_hz / 2.0,
@@ -280,6 +279,4 @@ def transfer_snapshot(
     )
     direct, h, g = scene.channels_at(freqs)
     full = transfer_vector(direct, h, g, scene.cell, freqs, config.flat())
-    with np.errstate(divide="ignore"):
-        si_db = 20.0 * np.log10(np.abs(full))
-    return freqs, si_db
+    return freqs, _amplitude_db(full)

@@ -52,6 +52,17 @@ class RisConfig:
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 
+    @classmethod
+    def _adopt(cls, states: np.ndarray) -> "RisConfig":
+        """Wrap a 2-D bool array no one else writes to, without a copy or checks.
+
+        For arrays the package has just built; the array is made read-only.
+        """
+        states.setflags(write=False)
+        config = object.__new__(cls)
+        object.__setattr__(config, "states", states)
+        return config
+
     @property
     def nx(self) -> int:
         return self.states.shape[0]

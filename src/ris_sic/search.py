@@ -5,7 +5,20 @@ far, ranked by reading.  Each iteration it turns the buffer into a per-element
 activation ratio (better-ranked members weigh more), samples a fresh candidate
 from that ratio, and lets the candidate displace the buffer's worst member on
 strict improvement.  A stall counter terminates the run once the best reading
-has not strictly improved for ``stall_limit`` consecutive evaluations.
+has not strictly improved for ``stall_limit`` consecutive evaluations.  This
+is an elite-sampling estimation of distribution (cf. PBIL, Baluja 1994).
+
+The ratio changes only when the buffer does, so the optimizer caches it and
+rebuilds it only on a replacement.  Buffer rows never move: each sits in a
+fixed slot carrying its integer rank weight, and a replacement rewrites one
+slot and shifts weights, not rows.  The rebuilt ratio is bit-identical to
+:func:`weighted_activation_ratio` of the rank-ordered buffer, because every
+weighted column sum is an integer no larger than B(B+1)/2 < 2**53, which
+float64 holds exactly in any summation order.
+
+Candidates are drawn from ratios the searches build themselves, so they skip
+the validation :func:`sample_config` gives outside callers.  Every candidate
+handed to a backend is read-only.
 
 Baselines: uniform random sampling over the same evaluation budget, and exact
 exhaustive enumeration for small surfaces.
@@ -13,6 +26,7 @@ exhaustive enumeration for small surfaces.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -90,13 +104,9 @@ def weighted_activation_ratio(configs: Sequence[RisConfig]) -> np.ndarray:
         if (c.nx, c.ny) != (nx, ny):
             raise ValueError("buffered configurations disagree on surface dimensions")
     matrix = np.stack([c.flat() for c in configs]).astype(np.float64)
-    return _ratio_from_matrix(matrix).reshape(nx, ny)
-
-
-def _ratio_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    b = matrix.shape[0]
+    b = len(configs)
     weights = np.arange(b, 0, -1, dtype=np.float64)
-    return (weights @ matrix) / ((b * b + b) / 2.0)
+    return ((weights @ matrix) / ((b * b + b) / 2.0)).reshape(nx, ny)
 
 
 def sample_config(ratio: np.ndarray, rng: np.random.Generator) -> RisConfig:
@@ -104,9 +114,14 @@ def sample_config(ratio: np.ndarray, rng: np.random.Generator) -> RisConfig:
     ratio = np.asarray(ratio, dtype=np.float64)
     if ratio.ndim != 2:
         raise ValueError(f"ratio must be a 2-D matrix, got ndim={ratio.ndim}")
-    if ratio.min() < 0.0 or ratio.max() > 1.0:
+    if not (ratio.min() >= 0.0 and ratio.max() <= 1.0):  # min and max propagate NaN
         raise ValueError("activation ratios must lie in [0, 1]")
-    return RisConfig(rng.random(ratio.shape) < ratio)
+    return _draw(ratio, rng)
+
+
+def _draw(ratio: np.ndarray, rng: np.random.Generator) -> RisConfig:
+    """:func:`sample_config` without its checks, for a 2-D float64 ratio in [0, 1]."""
+    return RisConfig._adopt(rng.random(ratio.shape) < ratio)
 
 
 class GreedyOptimizer:
@@ -116,6 +131,11 @@ class GreedyOptimizer:
     so the buffer invariants (full, sorted ascending by reading) hold from the
     start.  Call :meth:`step` to advance one evaluation or :meth:`run` to
     iterate to termination.
+
+    State: the lists ``_readings`` and ``_configs`` in rank order (best first);
+    ``_rows``, the members' 0/1 states as float64 rows in fixed slots, with
+    ``_weights[slot]`` the integer rank weight B - rank of the member there;
+    and ``_ratio``, the cached ``_weights @ _rows`` over the normaliser.
     """
 
     def __init__(
@@ -144,14 +164,21 @@ class GreedyOptimizer:
         warm_readings = []
         warm_configs = []
         for _ in range(buffer_size):
-            cand = sample_config(half, self.rng)
+            cand = _draw(half, self.rng)
             reading, _ = self._evaluate(cand)
             warm_readings.append(reading.magnitude_db)
             warm_configs.append(cand)
         order = np.argsort(np.asarray(warm_readings), kind="stable")
-        self._readings = np.asarray(warm_readings, dtype=np.float64)[order]
+        self._readings = [warm_readings[i] for i in order]
         self._configs = [warm_configs[i] for i in order]
-        self._matrix = np.stack([c.flat() for c in self._configs]).astype(np.float64)
+        # Slots start in rank order; from here on rows stay where they are.
+        self._rows = np.stack([c.flat() for c in self._configs]).astype(np.float64)
+        self._weights = np.arange(buffer_size, 0, -1, dtype=np.float64)
+        self._norm = float(self._weights.sum())  # (B**2 + B)/2, exact
+        self._ratio = self._weighted_ratio()
+
+    def _weighted_ratio(self) -> np.ndarray:
+        return ((self._weights @ self._rows) / self._norm).reshape(self._nx, self._ny)
 
     def _evaluate(self, config: RisConfig) -> tuple[SiReading, bool]:
         """Score one configuration, extend the trace, track the running best.
@@ -179,7 +206,7 @@ class GreedyOptimizer:
 
     @property
     def buffer_readings(self) -> np.ndarray:
-        return self._readings.copy()
+        return np.array(self._readings, dtype=np.float64)
 
     @property
     def buffer_configs(self) -> tuple[RisConfig, ...]:
@@ -198,14 +225,14 @@ class GreedyOptimizer:
         return self.termination_count >= self.stall_limit
 
     def activation_ratio(self) -> np.ndarray:
-        """Current rank-weighted ON ratio the next candidate is drawn from."""
-        return _ratio_from_matrix(self._matrix).reshape(self._nx, self._ny)
+        """Current rank-weighted ON ratio the next candidate is drawn from (a copy)."""
+        return self._ratio.copy()
 
     # -- advancement --------------------------------------------------------
 
     def step(self) -> float:
         """One evaluation: sample from the buffer, score, update. Returns the reading."""
-        cand = sample_config(self.activation_ratio(), self.rng)
+        cand = _draw(self._ratio, self.rng)
         reading, improved = self._evaluate(cand)
         value = reading.magnitude_db
         if improved:
@@ -216,13 +243,20 @@ class GreedyOptimizer:
         if value < self._readings[-1]:
             # The candidate displaces the worst member.  A stable sort would
             # put it after every equal reading, which is this position.
-            pos = int(np.searchsorted(self._readings[:-1], value, side="right"))
-            self._readings[pos + 1:] = self._readings[pos:-1]
-            self._readings[pos] = value
+            pos = bisect.bisect_right(self._readings, value, 0, self.buffer_size - 1)
+            self._readings.insert(pos, value)
+            del self._readings[-1]
             self._configs.insert(pos, cand)
             del self._configs[-1]
-            self._matrix[pos + 1:] = self._matrix[pos:-1]
-            self._matrix[pos] = cand.flat()
+            # Ranks pos..B-1 hold weights B-pos..1: each moves down one rank,
+            # and the worst member's slot (weight 1) takes the candidate.
+            top = self.buffer_size - pos
+            weights = self._weights
+            slot = int(weights.argmin())
+            weights[weights <= top] -= 1.0
+            weights[slot] = top
+            self._rows[slot] = cand.flat()
+            self._ratio = self._weighted_ratio()
         return value
 
     def run(self, max_evaluations: Optional[int] = None) -> ConvergenceTrace:
@@ -274,7 +308,7 @@ def random_search(
     best_si: Optional[SiReading] = None
     best_config: Optional[RisConfig] = None
     for i in range(iterations):
-        cand = sample_config(half, rng)
+        cand = _draw(half, rng)
         try:
             reading = backend.evaluate(cand)
         except Exception as exc:  # noqa: BLE001 - re-raise with run context
@@ -320,8 +354,9 @@ def exhaustive_search(backend: EvaluationBackend) -> tuple[RisConfig, SiReading]
     for start in range(0, 2**n, EXHAUSTIVE_BLOCK):
         codes = np.arange(start, min(start + EXHAUSTIVE_BLOCK, 2**n))
         block = ((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, nx, ny)
+        block.setflags(write=False)
         for code, bits in enumerate(block, start):
-            cand = RisConfig(bits)
+            cand = RisConfig._adopt(bits)
             try:
                 reading = backend.evaluate(cand)
             except Exception as exc:  # noqa: BLE001 - re-raise with run context

@@ -216,6 +216,7 @@ class TestTransferKernel:
         with pytest.raises(ValueError, match="2x2"):
             si_per_point_db(scene, RisConfig.all_on(3, 3))
 
+    @pytest.mark.filterwarnings("error")  # -inf must come without a divide warning
     def test_exact_cancellation_yields_null_reading(self):
         # single element; choose the direct path as minus the element path so
         # the composite sum cancels identically at every grid point
@@ -231,6 +232,22 @@ class TestTransferKernel:
         reading = si_magnitude_db(scene, RisConfig.all_on(1, 1))
         assert reading.is_null
         assert np.all(np.isneginf(reading.per_point_db))
+
+        # doubling the direct path at odd points leaves H = -direct there,
+        # so one reading mixes -inf with finite values
+        partial = cancel.copy()
+        partial[1::2] *= 2.0
+        scene = Scene.from_arrays(
+            grid=scene0.grid, direct=partial, h=scene0.h, g=scene0.g,
+            cell=scene0.cell, nx=1, ny=1,
+        )
+        reading = si_magnitude_db(scene, RisConfig.all_on(1, 1))
+        assert np.array_equal(np.isneginf(reading.per_point_db),
+                              [True, False, True, False, True])
+        assert np.array_equal(reading.per_point_db[1::2],
+                              20.0 * np.log10(np.abs(cancel[1::2])))
+        assert reading.magnitude_db == reading.per_point_db[1::2].max()
+        assert not reading.is_null
 
     def test_reading_is_max_over_grid(self):
         scene = synthetic_scene(2, 3, points=9, seed=11)

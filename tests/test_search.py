@@ -81,6 +81,8 @@ class TestSampleConfig:
             sample_config(np.full((2, 2), -0.1), rng)
         with pytest.raises(ValueError):
             sample_config(np.full(4, 0.5), rng)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sample_config(np.array([[0.5, np.nan]]), rng)
 
     def test_seeded_reproducibility(self):
         ratio = np.full((4, 4), 0.5)
@@ -233,6 +235,108 @@ class TestBufferInsertion:
             assert all(a is b for a, b in zip(opt.buffer_configs, configs, strict=True))
             assert np.array_equal(opt.activation_ratio(), weighted_activation_ratio(configs))
         assert tied_finite > 0 and tied_inf > 0
+
+
+def reference_greedy(backend, buffer_size, stall_limit, rng):
+    """The loop the optimizer streamlines: public sampling, a stable re-sort
+    and a fresh weighted ratio on every step.  Returns the evaluated and
+    cumulative readings, the best configuration and the final buffer."""
+    evaluated, cumulative = [], []
+    best = None
+
+    def score(config):
+        nonlocal best
+        value = backend.evaluate(config).magnitude_db
+        improved = not cumulative or value < cumulative[-1]
+        if improved:
+            best = config
+        evaluated.append(value)
+        cumulative.append(value if improved else cumulative[-1])
+        return value, improved
+
+    half = np.full(backend.dims(), 0.5)
+    configs = [sample_config(half, rng) for _ in range(buffer_size)]
+    readings = [score(c)[0] for c in configs]
+    stall = 0
+    while True:
+        order = np.argsort(readings, kind="stable")
+        readings = [readings[i] for i in order]
+        configs = [configs[i] for i in order]
+        if stall >= stall_limit:
+            return evaluated, cumulative, best, readings, configs
+        cand = sample_config(weighted_activation_ratio(configs), rng)
+        value, improved = score(cand)
+        stall = 0 if improved else stall + 1
+        if value < readings[-1]:
+            readings[-1], configs[-1] = value, cand
+
+
+class ReadOnlyCheckingBackend(SimulatedBackend):
+    """Checks that every candidate it is handed refuses writes; counts them."""
+
+    def __init__(self, scene):
+        super().__init__(scene)
+        self.calls = 0
+
+    def evaluate(self, config):
+        with pytest.raises(ValueError, match="read-only"):
+            config.states[0, 0] = not config.states[0, 0]
+        self.calls += 1
+        return super().evaluate(config)
+
+
+class TestReferenceEquivalence:
+    """The cached ratio, slot rows and unchecked draws against the plain loop."""
+
+    @pytest.mark.parametrize("buffer_size", [2, 10])
+    def test_greedy_matches_reference_on_synthetic_scene(self, buffer_size):
+        self._check_greedy(synthetic_scene(3, 3, points=3, seed=4), buffer_size, 80, seed=3)
+
+    def test_greedy_matches_reference_on_built_scene(self, small_scene):
+        self._check_greedy(small_scene, 16, 300, seed=5000)
+
+    def _check_greedy(self, scene, buffer_size, stall_limit, seed):
+        backend = SimulatedBackend(scene)
+        opt = GreedyOptimizer(backend, buffer_size, stall_limit, np.random.default_rng(seed))
+        tr = opt.run()
+        evaluated, cumulative, best, readings, configs = reference_greedy(
+            backend, buffer_size, stall_limit, np.random.default_rng(seed))
+        assert tr.iterations_total > buffer_size + stall_limit  # some replacements happened
+        assert np.array_equal(tr.evaluated, evaluated)
+        assert np.array_equal(tr.cumulative, cumulative)
+        assert tr.best_config == best
+        assert np.array_equal(opt.buffer_readings, readings)
+        assert opt.buffer_configs == tuple(configs)
+        assert np.array_equal(opt.activation_ratio(), weighted_activation_ratio(configs))
+
+    def test_random_search_matches_sample_config_loop(self):
+        backend = SimulatedBackend(synthetic_scene(3, 3, points=3, seed=4))
+        tr = random_search(backend, 300, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        configs = [sample_config(np.full((3, 3), 0.5), rng) for _ in range(300)]
+        values = [backend.evaluate(c).magnitude_db for c in configs]
+        assert np.array_equal(tr.evaluated, values)
+        assert np.array_equal(tr.cumulative, np.minimum.accumulate(values))
+        assert tr.best_config == configs[int(np.argmin(values))]
+
+    def test_mutating_the_returned_ratio_leaves_the_search_alone(self):
+        touched, plain = (GreedyOptimizer(TiedBackend(3, 3, 0), 6, 50,
+                                          np.random.default_rng(1)) for _ in range(2))
+        for _ in range(40):
+            touched.activation_ratio()[...] = 1.0
+            assert touched.step() == plain.step()
+            assert touched.backend.last == plain.backend.last
+        assert np.array_equal(touched.activation_ratio(), plain.activation_ratio())
+
+    @pytest.mark.parametrize("search", [
+        exhaustive_search,
+        lambda b: greedy_optimize(b, 4, 30, np.random.default_rng(0)),
+        lambda b: random_search(b, 30, np.random.default_rng(0)),
+    ], ids=["exhaustive", "greedy", "random"])
+    def test_every_candidate_is_read_only(self, search):
+        backend = ReadOnlyCheckingBackend(synthetic_scene(3, 3, points=3, seed=4))
+        search(backend)
+        assert backend.calls >= 30
 
 
 class TestInvariantFuzz:
