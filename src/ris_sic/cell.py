@@ -20,6 +20,12 @@ float64, the values the pole is evaluated at, so arrays that share raw bytes
 but differ in dtype or shape get separate entries.  The memo holds at most
 ``REFLECTION_MEMO_SIZE`` entries and hands out read-only arrays, so no caller
 can alter what the next one receives; scalar frequencies are computed afresh.
+
+The resonance split is found by :func:`_brentq`, a port of Brent's method
+(Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4) that
+follows scipy's BSD-3 ``scipy/optimize/Zeros/brentq.c`` step for step, so the
+solved resonances are the bits ``scipy.optimize.brentq`` returns without the
+package importing scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 REFLECTION_MEMO_SIZE = 64
 
@@ -38,6 +43,67 @@ def _pole_phase(f_hz, resonance_hz: float, quality_factor: float):
     f = np.asarray(f_hz, dtype=np.float64)
     phase = -2.0 * np.arctan2(f * resonance_hz / quality_factor, resonance_hz**2 - f**2)
     return phase if phase.ndim else float(phase)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method, as scipy's C ``brentq``.
+
+    The bracket swap, the tolerance ``(xtol + rtol*|x|)/2``, the trial step
+    and its acceptance test keep scipy's operation order, so results agree
+    bit for bit.  Raises ``ValueError`` for a bracket without a sign change
+    or a NaN function value and ``RuntimeError`` after ``maxiter`` steps.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # Tiny f values can underflow denom to 0; C's division then
+                # gives inf or NaN, which the test below rejects.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _split_phase_gap_rad(split: float, quality_factor: float) -> float:
@@ -104,7 +170,7 @@ class UnitCellModel:
                 f"phase target {phase_target_deg} deg unreachable with "
                 f"quality factor {quality_factor}"
             )
-        split = brentq(
+        split = _brentq(
             lambda s: _split_phase_gap_rad(s, quality_factor) - target_rad,
             lo,
             hi,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ris_sic.cell import (
     REFLECTION_MEMO_SIZE,
     UnitCellModel,
+    _brentq,
     _pole_phase,
     _split_phase_gap_rad,
     element_reflection,
@@ -58,6 +59,87 @@ class TestPhaseTargetSolve:
     def test_solve_fuzz(self, target, q):
         cell = UnitCellModel.with_phase_target(FC, target, quality_factor=q)
         assert cell.phase_difference_deg(FC) == pytest.approx(target, abs=1.0)
+
+
+class TestResonanceBits:
+    """The solved resonances, pinned bit for bit; no scipy needed."""
+
+    @pytest.mark.parametrize(
+        "args, on_hex, off_hex",
+        [
+            ((FC,), "0x1.2cf08e753f408p+32", "0x1.55009a0ac0bf8p+32"),
+            ((FC, 160.0, 6.0), "0x1.2a9211f76c7ebp+32", "0x1.575f168893814p+32"),
+        ],
+    )
+    def test_resonances_are_pinned(self, args, on_hex, off_hex):
+        cell = UnitCellModel.with_phase_target(*args)
+        assert cell.resonance_on_hz.hex() == on_hex
+        assert cell.resonance_off_hz.hex() == off_hex
+
+
+def _solve(brentq, f, a, b, **kw):
+    """Root as float.hex, or the exception's type and message."""
+    try:
+        return brentq(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _phase_brackets(n, seed=0):
+    """(target deg, Q) pairs: the shipped cell, the synthetic one, then random."""
+    rng = np.random.default_rng(seed)
+    cases = [(180.0, 8.0), (160.0, 6.0)]
+    while len(cases) < n:
+        target, q = float(rng.uniform(1.0, 180.0)), float(rng.uniform(0.5, 50.0))
+        if _split_phase_gap_rad(1.0 - 1e-9, q) >= math.radians(target):
+            cases.append((target, q))
+    return cases
+
+
+class TestBrentqMatchesScipy:
+    @pytest.fixture(scope="class")
+    def scipy_brentq(self):
+        return pytest.importorskip("scipy.optimize").brentq
+
+    def test_phase_target_brackets(self, scipy_brentq):
+        for target, q in _phase_brackets(3000):
+            target_rad = math.radians(target)
+
+            def gap(s, q=q, target_rad=target_rad):
+                return _split_phase_gap_rad(s, q) - target_rad
+
+            kw = dict(xtol=1e-15, rtol=1e-14)
+            ours = _solve(_brentq, gap, 1e-12, 1.0 - 1e-9, **kw)
+            assert ours == _solve(scipy_brentq, gap, 1e-12, 1.0 - 1e-9, **kw), (target, q)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])  # 1e-170: products underflow
+    def test_generic_polynomials(self, scipy_brentq, scale):
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            coeffs = scale * rng.normal(size=int(rng.choice([4, 6])))
+            a, b = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.0, 5.0))
+
+            def poly(x, coeffs=coeffs):
+                return float(np.polyval(coeffs, x))
+
+            for maxiter in (100, 5):
+                kw = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
+                assert _solve(_brentq, poly, a, b, **kw) == _solve(scipy_brentq, poly, a, b, **kw)
+
+    @pytest.mark.parametrize(
+        "f, a, b, maxiter, error",
+        [
+            (lambda x: x * x + 1.0, -1.0, 2.0, 100, ValueError),  # no sign change
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100, ValueError),
+            (lambda x: x**3 - 2.0, 0.0, 2.0, 3, RuntimeError),  # hits maxiter
+        ],
+        ids=["no-sign-change", "nan-value", "maxiter"],
+    )
+    def test_error_parity(self, scipy_brentq, f, a, b, maxiter, error):
+        kw = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
+        ours = _solve(_brentq, f, a, b, **kw)
+        assert ours[0] is error
+        assert ours == _solve(scipy_brentq, f, a, b, **kw)
 
 
 class TestReflection:

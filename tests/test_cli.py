@@ -247,6 +247,22 @@ def test_module_entry_point():
     assert "ris-sic" in proc.stdout
 
 
+def test_package_imports_without_scipy():
+    # scipy blocked: the package, its CLI and a scene build (resonance solve
+    # included) must not import any part of it.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ris_sic, ris_sic.cli\n"
+        "ris_sic.build_scene(ris_sic.default_scene_params())\n"
+        "loaded = [m for m, mod in sys.modules.items()\n"
+        "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "ris_sic", "optimize", "--help"],
