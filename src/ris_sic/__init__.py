@@ -17,9 +17,7 @@ from .channel import (
     Scene,
     SceneParams,
     build_scene,
-    composite_transfer,
     default_scene_params,
-    si_magnitude_db,
 )
 from .experiment import (
     CampaignResult,
@@ -52,9 +50,7 @@ __all__ = [
     "Scene",
     "SceneParams",
     "build_scene",
-    "composite_transfer",
     "default_scene_params",
-    "si_magnitude_db",
     "CampaignResult",
     "CampaignSpec",
     "bandwidth_sweep",

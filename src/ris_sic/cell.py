@@ -14,12 +14,12 @@ resonance split that realizes a requested phase difference at a given center
 frequency.
 
 Every SI evaluation asks for the same two reflections on the same grid, so
-:meth:`UnitCellModel.reflection` memoises array results per model instance.
-The key is the state plus the shape and bytes of the frequencies converted to
-float64, the values the pole is evaluated at, so arrays that share raw bytes
-but differ in dtype or shape get separate entries.  The memo holds at most
-``REFLECTION_MEMO_SIZE`` entries and hands out read-only arrays, so no caller
-can alter what the next one receives; scalar frequencies are computed afresh.
+:meth:`UnitCellModel.reflection` memoises array results per model instance,
+keyed on the state and the shape and bytes of the float64 frequencies (arrays
+sharing raw bytes across dtype or shape get separate entries).  The memo holds
+at most ``REFLECTION_MEMO_SIZE`` entries and hands out read-only arrays, so no
+caller can alter what the next one receives and :mod:`ris_sic.channel` can key
+its term tables on them; scalar frequencies are computed afresh.
 
 The resonance split is found by :func:`_brentq`, a port of Brent's method
 (Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4) that
@@ -227,8 +227,3 @@ class UnitCellModel:
         gamma_on = complex(self.reflection(True, f_hz))
         gamma_off = complex(self.reflection(False, f_hz))
         return abs(math.degrees(np.angle(gamma_on * np.conj(gamma_off))))
-
-
-def element_reflection(state: bool, f_hz, cell: UnitCellModel):
-    """Reflection coefficient of one element in the given switch state."""
-    return cell.reflection(state, f_hz)

@@ -8,9 +8,10 @@ function under a surface configuration is
 
     H(f) = direct(f) + sum_i h_i(f) * gamma_i(state_i, f) * g_i(f)
 
-with ``gamma_i`` the two-state element reflection from :mod:`ris_sic.cell`.
-All SI magnitudes are transfer functions relative to unit transmit amplitude,
-so results are in dB; add the transmit power to obtain dBm.
+with ``gamma_i`` the two-state element reflection from :mod:`ris_sic.cell`;
+:func:`transfer_vector` reads each term from per-scene two-state tables.  All
+SI magnitudes are transfer functions relative to unit transmit amplitude, so
+results are in dB; add the transmit power to obtain dBm.
 
 Geometry: the surface lies in the x-z plane centered at the origin, elements
 on a regular pitch grid; the two antennas sit at ``y = distance`` separated
@@ -34,12 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import fspl_db
 from .cell import UnitCellModel
-from .model import FrequencyGrid, RisConfig, SiReading
+from .model import FrequencyGrid, RisConfig
 from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
+PATH_TERMS_MEMO_SIZE = 4
+_PATH_TERMS_MEMO: dict = {}  # (id(h), id(g), id(gamma_on), id(gamma_off)) -> (operands, tables)
 
 
 # --------------------------------------------------------------------------
@@ -361,17 +363,39 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
 # evaluation
 # --------------------------------------------------------------------------
 
+def _path_terms(h, g, gamma_on, gamma_off) -> tuple[np.ndarray, np.ndarray]:
+    """Term tables ``(h * gamma_on * g, h * gamma_off * g)``, memoised as
+    :func:`transfer_vector` describes."""
+    key = (id(h), id(g), id(gamma_on), id(gamma_off))
+    entry = _PATH_TERMS_MEMO.get(key)
+    if entry is not None:
+        return entry[1]
+    operands, tables = (h, g, gamma_on, gamma_off), (h * gamma_on * g, h * gamma_off * g)
+    if all(isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
+           for a in operands):
+        for t in tables:
+            t.setflags(write=False)
+        if len(_PATH_TERMS_MEMO) >= PATH_TERMS_MEMO_SIZE:
+            _PATH_TERMS_MEMO.clear()
+        _PATH_TERMS_MEMO[key] = (operands, tables)
+    return tables
+
+
 def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np.ndarray:
     """Composite transfer function H at every frequency for one configuration.
 
     Single canonical kernel: every SI evaluation in the package goes through
-    this, so readings from different entry points agree bit-exactly.
+    this, so readings from different entry points agree bit-exactly.  Each
+    element adds one term from the (N, K) tables ``h * gamma_on * g`` and
+    ``h * gamma_off * g``, memoised read-only (at most ``PATH_TERMS_MEMO_SIZE``)
+    under the ``id()`` of ``h``, ``g`` and both reflections when all four are
+    read-only arrays owning their data; an entry holds them, so no id is reused.
+    The C-order selection and ``sum(axis=0)`` fix the bits (rows are added in
+    sequence at K > 1, pairwise at K = 1); a transposed table or
+    ``base + S @ (T_on - T_off)`` would not be bit-equal.
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    gamma_on = cell.reflection(True, freqs)
-    gamma_off = cell.reflection(False, freqs)
-    gam = np.where(flat_states[:, None], gamma_on, gamma_off)
-    return direct + (h * gam * g).sum(axis=0)
+    t_on, t_off = _path_terms(h, g, cell.reflection(True, freqs), cell.reflection(False, freqs))
+    return direct + np.where(flat_states[:, None], t_on, t_off).sum(axis=0)
 
 
 def _amplitude_db(transfer: np.ndarray) -> np.ndarray:
@@ -395,17 +419,6 @@ def _check_dims(scene: Scene, config: RisConfig):
         )
 
 
-def composite_transfer(scene: Scene, config: RisConfig, point_index: int) -> complex:
-    """H(f_k) = direct + sum_i h_i * gamma_i * g_i at one grid point."""
-    _check_dims(scene, config)
-    k = scene.grid.k
-    if not 0 <= point_index < k:
-        raise IndexError(f"point_index {point_index} outside grid of {k} points")
-    full = transfer_vector(scene.direct, scene.h, scene.g, scene.cell,
-                           scene.grid.points, config.flat())
-    return complex(full[point_index])
-
-
 def si_per_point_db(scene: Scene, config: RisConfig) -> np.ndarray:
     """20*log10 |H| per grid point (amplitude dB; -inf where H vanishes)."""
     _check_dims(scene, config)
@@ -413,7 +426,3 @@ def si_per_point_db(scene: Scene, config: RisConfig) -> np.ndarray:
                            scene.grid.points, config.flat())
     return _amplitude_db(full)
 
-
-def si_magnitude_db(scene: Scene, config: RisConfig) -> SiReading:
-    """SI reading for a configuration: worst (highest) point across the grid."""
-    return SiReading.from_per_point(si_per_point_db(scene, config))

@@ -265,7 +265,7 @@ def transfer_snapshot(
     The axis is built exactly like a wideband evaluation grid, so when
     ``span_hz``/``points`` equal the scene grid's span and size the sampled
     frequencies — and therefore the dB values — coincide bit-exactly with the
-    per-point readings of :func:`ris_sic.channel.si_magnitude_db`.
+    per-point readings of :func:`ris_sic.channel.si_per_point_db`.
     """
     if points < 2:
         raise ValueError(f"snapshot needs >= 2 points, got {points}")

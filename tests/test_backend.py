@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ris_sic.backend import EvaluationBackend, SimulatedBackend
-from ris_sic.channel import si_magnitude_db, si_per_point_db
-from ris_sic.model import RisConfig
+from ris_sic.channel import si_per_point_db
+from ris_sic.model import RisConfig, SiReading
 
 from conftest import synthetic_scene
 from fuzz_tools import HashBackend
@@ -15,7 +15,7 @@ def test_simulated_backend_matches_channel_evaluation():
     rng = np.random.default_rng(0)
     for _ in range(20):
         config = RisConfig(rng.random((3, 3)) < 0.5)
-        assert backend.evaluate(config) == si_magnitude_db(scene, config)
+        assert backend.evaluate(config) == SiReading.from_per_point(si_per_point_db(scene, config))
 
 
 def test_dims_and_grid(small_scene):
@@ -44,7 +44,7 @@ def test_noise_floor_leaves_loud_readings_alone():
     config = RisConfig.all_off(2, 2)
     raw = si_per_point_db(scene, config)
     backend = SimulatedBackend(scene, noise_floor_db=float(np.min(raw)) - 30.0)
-    assert backend.evaluate(config) == si_magnitude_db(scene, config)
+    assert backend.evaluate(config) == SiReading.from_per_point(raw)
 
 
 def test_protocol_conformance():

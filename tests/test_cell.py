@@ -11,7 +11,6 @@ from ris_sic.cell import (
     _brentq,
     _pole_phase,
     _split_phase_gap_rad,
-    element_reflection,
 )
 
 FC = 5.385e9
@@ -178,11 +177,6 @@ class TestReflection:
         # far below resonance the pole contributes ~0 phase, far above ~-2*pi
         assert np.angle(lo) == pytest.approx(0.0, abs=1e-3)
         assert abs(np.angle(hi)) == pytest.approx(0.0, abs=1e-3)
-
-    def test_element_reflection_helper(self):
-        cell = UnitCellModel.with_phase_target(FC)
-        assert element_reflection(True, FC, cell) == cell.reflection(True, FC)
-        assert element_reflection(False, FC, cell) == cell.reflection(False, FC)
 
 
 def _fresh_reflection(cell, state, f_hz):

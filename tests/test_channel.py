@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ris_sic import channel
+from ris_sic.backend import SimulatedBackend
 from ris_sic.budget import fspl_db
 from ris_sic.channel import (
     Calibration,
@@ -14,9 +16,7 @@ from ris_sic.channel import (
     GridSpec,
     SceneParams,
     build_scene,
-    composite_transfer,
     default_scene_params,
-    si_magnitude_db,
     si_per_point_db,
     transfer_vector,
 )
@@ -195,22 +195,6 @@ class TestTransferKernel:
         )
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    def test_composite_transfer_slices_kernel(self):
-        scene = synthetic_scene(2, 2, points=5, seed=9)
-        config = RisConfig.all_on(2, 2)
-        full = transfer_vector(
-            scene.direct, scene.h, scene.g, scene.cell, scene.grid.points, config.flat()
-        )
-        for k in range(5):
-            assert composite_transfer(scene, config, k) == full[k]
-
-    def test_point_index_bounds(self):
-        scene = synthetic_scene(2, 2, points=5)
-        with pytest.raises(IndexError):
-            composite_transfer(scene, RisConfig.all_on(2, 2), 5)
-        with pytest.raises(IndexError):
-            composite_transfer(scene, RisConfig.all_on(2, 2), -1)
-
     def test_dimension_mismatch_rejected(self):
         scene = synthetic_scene(2, 2)
         with pytest.raises(ValueError, match="2x2"):
@@ -229,7 +213,7 @@ class TestTransferKernel:
             grid=scene0.grid, direct=cancel, h=scene0.h, g=scene0.g,
             cell=scene0.cell, nx=1, ny=1,
         )
-        reading = si_magnitude_db(scene, RisConfig.all_on(1, 1))
+        reading = SimulatedBackend(scene).evaluate(RisConfig.all_on(1, 1))
         assert reading.is_null
         assert np.all(np.isneginf(reading.per_point_db))
 
@@ -241,7 +225,7 @@ class TestTransferKernel:
             grid=scene0.grid, direct=partial, h=scene0.h, g=scene0.g,
             cell=scene0.cell, nx=1, ny=1,
         )
-        reading = si_magnitude_db(scene, RisConfig.all_on(1, 1))
+        reading = SimulatedBackend(scene).evaluate(RisConfig.all_on(1, 1))
         assert np.array_equal(np.isneginf(reading.per_point_db),
                               [True, False, True, False, True])
         assert np.array_equal(reading.per_point_db[1::2],
@@ -253,15 +237,88 @@ class TestTransferKernel:
         scene = synthetic_scene(2, 3, points=9, seed=11)
         config = RisConfig.all_off(2, 3)
         per = si_per_point_db(scene, config)
-        reading = si_magnitude_db(scene, config)
+        reading = SimulatedBackend(scene).evaluate(config)
         assert reading.magnitude_db == np.max(per)
         np.testing.assert_array_equal(reading.per_point_db, per)
 
     def test_off_state_differs_from_on_state(self):
         scene = build_scene(clean_params(nx=2, ny=2))
-        on = si_magnitude_db(scene, RisConfig.all_on(2, 2)).magnitude_db
-        off = si_magnitude_db(scene, RisConfig.all_off(2, 2)).magnitude_db
+        backend = SimulatedBackend(scene)
+        on = backend.evaluate(RisConfig.all_on(2, 2)).magnitude_db
+        off = backend.evaluate(RisConfig.all_off(2, 2)).magnitude_db
         assert on != off
+
+
+def direct_formula(direct, h, g, cell, freqs, flat):
+    """The kernel without term tables: every product formed on each call."""
+    gamma = np.where(flat[:, None], cell.reflection(True, freqs), cell.reflection(False, freqs))
+    return direct + (h * gamma * g).sum(axis=0)
+
+
+def kernel_args(scene):
+    return scene.direct, scene.h, scene.g, scene.cell, scene.grid.points
+
+
+def built_scene(side, points):
+    p = default_scene_params()
+    grid = GridSpec(FC, 10e6, points) if points > 1 else GridSpec(FC)
+    return build_scene(replace(p, geometry=replace(p.geometry, nx=side, ny=side), grid=grid))
+
+
+class TestTermTables:
+    """The table kernel against the direct formula, bit for bit, and its memo."""
+
+    @pytest.mark.parametrize("side, points", [(4, 1), (4, 11), (16, 1), (16, 11)])
+    def test_built_scene_equals_direct_formula(self, side, points):
+        scene = built_scene(side, points)
+        args = kernel_args(scene)
+        states = np.random.default_rng(side * 100 + points).random((512, side * side)) < 0.5
+        for flat in states:
+            assert np.array_equal(transfer_vector(*args, flat), direct_formula(*args, flat))
+
+    def test_synthetic_scene_equals_direct_formula(self):
+        scene = synthetic_scene(3, 4, points=7, seed=5)
+        args = kernel_args(scene)
+        for flat in np.random.default_rng(8).random((512, 12)) < 0.5:
+            assert np.array_equal(transfer_vector(*args, flat), direct_formula(*args, flat))
+
+    def test_tables_are_read_only_and_reused(self, wideband_scene):
+        freqs = wideband_scene.grid.points
+        operands = (wideband_scene.h, wideband_scene.g,
+                    wideband_scene.cell.reflection(True, freqs),
+                    wideband_scene.cell.reflection(False, freqs))
+        first = channel._path_terms(*operands)
+        second = channel._path_terms(*operands)
+        for table, again, gamma in zip(first, second, operands[2:]):
+            assert again is table
+            assert not table.flags.writeable
+            assert np.array_equal(table, wideband_scene.h * gamma * wideband_scene.g)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_writable_channel_is_read_afresh_and_never_stored(self, read_only_view):
+        scene = synthetic_scene(2, 3, points=5, seed=2)
+        base = np.array(scene.h)
+        h = base
+        if read_only_view:  # read-only, but its memory can still change
+            h = base.view()
+            h.setflags(write=False)
+        direct, _, g, cell, freqs = kernel_args(scene)
+        flat = np.array([True, False, True, True, False, False])
+        before = transfer_vector(direct, h, g, cell, freqs, flat)
+        base[0] *= 2.0
+        after = transfer_vector(direct, h, g, cell, freqs, flat)
+        assert np.array_equal(before, transfer_vector(*kernel_args(scene), flat))
+        assert np.array_equal(after, direct_formula(direct, h, g, cell, freqs, flat))
+        assert not np.array_equal(before, after)
+        assert all(id(h) not in key for key in channel._PATH_TERMS_MEMO)
+
+    def test_memo_stays_within_its_cap(self):
+        for seed in range(channel.PATH_TERMS_MEMO_SIZE + 3):
+            scene = synthetic_scene(2, 2, points=3, seed=seed)
+            flat = np.array([True, False, False, True])
+            got = transfer_vector(*kernel_args(scene), flat)
+            assert np.array_equal(got, direct_formula(*kernel_args(scene), flat))
+            assert 1 <= len(channel._PATH_TERMS_MEMO) <= channel.PATH_TERMS_MEMO_SIZE
 
 
 class TestSceneObject:

@@ -205,10 +205,14 @@ class TestTransferSnapshot:
         # and bit-identical dB values
         from ris_sic.model import RisConfig
 
-        config = RisConfig.all_on(4, 4)
-        freqs, si = transfer_snapshot(wideband_scene, config, 10e6, 11)
-        np.testing.assert_array_equal(freqs, wideband_scene.grid.points)
-        np.testing.assert_array_equal(si, si_per_point_db(wideband_scene, config))
+        # the snapshot computes its term tables per call from fresh channel
+        # arrays; the readings use the memoised tables of the scene
+        rng = np.random.default_rng(12)
+        configs = [RisConfig.all_on(4, 4)] + [RisConfig(rng.random((4, 4)) < 0.5) for _ in range(8)]
+        for config in configs:
+            freqs, si = transfer_snapshot(wideband_scene, config, 10e6, 11)
+            np.testing.assert_array_equal(freqs, wideband_scene.grid.points)
+            np.testing.assert_array_equal(si, si_per_point_db(wideband_scene, config))
 
     def test_narrowband_optimum_sits_near_center(self, default_scene):
         # a deep converged narrowband null is carved at the carrier; the

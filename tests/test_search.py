@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_sic.backend import SimulatedBackend
-from ris_sic.channel import si_magnitude_db
+from ris_sic.channel import si_per_point_db
 from ris_sic.model import FrequencyGrid, RisConfig, SiReading
 from ris_sic.search import (
     EXHAUSTIVE_BLOCK,
@@ -156,7 +156,7 @@ class TestGreedyOptimizer:
         scene = synthetic_scene(3, 3, points=5, seed=6)
         backend = SimulatedBackend(scene)
         tr = greedy_optimize(backend, 10, 60, np.random.default_rng(2))
-        assert si_magnitude_db(scene, tr.best_config) == tr.best_reading
+        assert SiReading.from_per_point(si_per_point_db(scene, tr.best_config)) == tr.best_reading
         assert tr.best_reading.magnitude_db == tr.cumulative[-1]
 
     def test_constructor_validation(self):
