@@ -26,7 +26,7 @@ from .experiment import (
     run_campaign,
     transfer_snapshot,
 )
-from .model import FrequencyGrid, LinkBudget, RisConfig, SiReading
+from .model import FrequencyGrid, RisConfig, SiReading
 from .search import (
     ConvergenceTrace,
     EvaluationError,
@@ -57,7 +57,6 @@ __all__ = [
     "run_campaign",
     "transfer_snapshot",
     "FrequencyGrid",
-    "LinkBudget",
     "RisConfig",
     "SiReading",
     "ConvergenceTrace",

@@ -64,8 +64,8 @@ def _scene_header(params: SceneParams, seed: Optional[int] = None) -> dict[str, 
     return meta
 
 
-def _best_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".best.txt")
+def _best_path(out: Path, tag: str = "") -> Path:
+    return out.with_name(out.stem + tag + ".best.txt")
 
 
 def _report_best(params: SceneParams, final_db: float) -> str:
@@ -77,12 +77,16 @@ def _report_best(params: SceneParams, final_db: float) -> str:
 # subcommand handlers
 # --------------------------------------------------------------------------
 
-def _cmd_optimize(args) -> int:
+def _cmd_search(args) -> int:
+    """``optimize`` (greedy) or ``random``: one seeded run, its trace and best grid."""
     params = _apply_grid_flags(_load_params(args), args)
     scene = build_scene(params)
     backend = SimulatedBackend(scene, noise_floor_db=args.noise_floor)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    trace = search.greedy_optimize(backend, args.buffer, args.stall, rng)
+    if args.command == "optimize":
+        trace = search.greedy_optimize(backend, args.buffer, args.stall, rng)
+    else:
+        trace = search.random_search(backend, args.horizon, rng)
     out = Path(args.out)
     sceneio.write_trace(trace, out, header=_scene_header(params, args.seed))
     best = _best_path(out)
@@ -91,26 +95,7 @@ def _cmd_optimize(args) -> int:
         best,
         header={"si_db": sceneio.fmt_float(trace.best_reading.magnitude_db)},
     )
-    print(f"greedy: {trace.iterations_total} evaluations, best {_report_best(params, trace.best_reading.magnitude_db)}")
-    print(f"trace written to {out}, best configuration to {best}")
-    return 0
-
-
-def _cmd_random(args) -> int:
-    params = _apply_grid_flags(_load_params(args), args)
-    scene = build_scene(params)
-    backend = SimulatedBackend(scene, noise_floor_db=args.noise_floor)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    trace = search.random_search(backend, args.horizon, rng)
-    out = Path(args.out)
-    sceneio.write_trace(trace, out, header=_scene_header(params, args.seed))
-    best = _best_path(out)
-    sceneio.write_config_grid(
-        trace.best_config,
-        best,
-        header={"si_db": sceneio.fmt_float(trace.best_reading.magnitude_db)},
-    )
-    print(f"random: {trace.iterations_total} evaluations, best {_report_best(params, trace.best_reading.magnitude_db)}")
+    print(f"{trace.algorithm}: {trace.iterations_total} evaluations, best {_report_best(params, trace.best_reading.magnitude_db)}")
     print(f"trace written to {out}, best configuration to {best}")
     return 0
 
@@ -167,11 +152,17 @@ def _cmd_sweep(args) -> int:
     )
     header = _scene_header(params, args.seed)
     header["runs"] = str(args.runs)
-    sceneio.write_sweep(rows, args.out, header=header)
+    out = Path(args.out)
+    sceneio.write_sweep(rows, out, header=header)
     for row in rows:
         label = "narrowband" if row.bandwidth_hz == 0.0 else f"{row.bandwidth_hz / 1e6:g} MHz"
-        print(f"{label}: median final {row.final_median_db:.2f} dB over {row.runs} runs")
-    print(f"sweep table written to {args.out}")
+        best = _best_path(out, f".{row.bandwidth_hz / 1e6:.12g}mhz")
+        meta = {"bandwidth_hz": sceneio.fmt_float(row.bandwidth_hz),
+                "si_db": sceneio.fmt_float(row.final_best_db)}
+        sceneio.write_config_grid(row.result.best_config, best, header=meta)
+        print(f"{label}: median final {row.final_median_db:.2f} dB over {row.runs} runs, "
+              f"best configuration to {best}")
+    print(f"sweep table written to {out}")
     return 0
 
 
@@ -244,7 +235,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-floor", type=float, default=None, metavar="DB",
                    help="clamp per-point readings from below")
     p.add_argument("--out", default="greedy_trace.csv")
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("random", help="uniform random search baseline")
     _add_scene_flag(p)
@@ -254,7 +245,7 @@ def build_parser() -> _Parser:
                    help="evaluation budget (default 5000)")
     p.add_argument("--noise-floor", type=float, default=None, metavar="DB")
     p.add_argument("--out", default="random_trace.csv")
-    p.set_defaults(func=_cmd_random)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small surfaces")
     _add_scene_flag(p)
@@ -273,7 +264,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="campaign.csv")
     p.set_defaults(func=_cmd_campaign)
 
-    p = sub.add_parser("sweep", help="greedy campaigns across objective bandwidths")
+    p = sub.add_parser("sweep", help="greedy campaigns across objective bandwidths, "
+                       "with each point's best configuration")
     _add_scene_flag(p)
     _add_search_flags(p)
     p.add_argument("--bandwidth", type=float, action="append", metavar="HZ",

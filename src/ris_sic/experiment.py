@@ -55,6 +55,9 @@ class CampaignSpec:
             raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
         if self.stall_limit < 1:
             raise ValueError(f"stall_limit must be >= 1, got {self.stall_limit}")
+        if self.algorithm == "greedy" and self.horizon < self.buffer_size:
+            raise ValueError(f"greedy horizon ({self.horizon}) must cover the "
+                             f"{self.buffer_size} warm-up evaluations")
 
 
 def campaign_spec_hash(spec: CampaignSpec) -> str:
@@ -134,10 +137,6 @@ class CampaignResult:
     def best_config(self) -> RisConfig:
         return self.traces[self.best_run_index].best_config
 
-    @property
-    def total_wall_time_s(self) -> float:
-        return float(sum(t.wall_time_s for t in self.traces))
-
 
 def run_campaign(
     spec: CampaignSpec,
@@ -145,6 +144,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute all runs sequentially on one shared scene.
 
+    Every run stops at ``spec.horizon`` evaluations, where the campaign's
+    curves end, so a run's best is the reading the campaign reports for it.
     Run r draws its generator from child r of ``SeedSequence(master_seed)``,
     so results do not depend on how many other runs exist or on any other
     consumer of randomness.  A failing run aborts the whole campaign.
@@ -157,7 +158,9 @@ def run_campaign(
         rng = np.random.Generator(np.random.PCG64(child))
         try:
             if spec.algorithm == "greedy":
-                trace = greedy_optimize(backend, spec.buffer_size, spec.stall_limit, rng)
+                trace = greedy_optimize(
+                    backend, spec.buffer_size, spec.stall_limit, rng, spec.horizon
+                )
             else:
                 trace = random_search(backend, spec.horizon, rng)
         except Exception as exc:

@@ -7,13 +7,10 @@ hashable where it makes sense, and validated on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-from . import budget
-from .units import C0_M_PER_S
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -212,34 +209,3 @@ class SiReading:
         return self.magnitude_db == other.magnitude_db and bool(
             np.array_equal(self.per_point_db, other.per_point_db)
         )
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Link-budget parameter bundle for dBm-level reporting."""
-
-    p_tx_dbm: float
-    alpha_iso_db: float
-    p_ris_db: float = 0.0
-    d_m: float = 1.0
-    f_hz: float = 5.385e9
-    g_t_dbi: float = 0.0
-    g_r_dbi: float = 0.0
-    c0_m_per_s: float = field(default=C0_M_PER_S)
-
-    def __post_init__(self):
-        if self.d_m <= 0.0:
-            raise ValueError(f"d_m must be positive, got {self.d_m}")
-        if self.f_hz <= 0.0:
-            raise ValueError(f"f_hz must be positive, got {self.f_hz}")
-
-    def leaked_power_dbm(self) -> float:
-        return budget.leaked_power_dbm(self.p_tx_dbm, self.alpha_iso_db)
-
-    def received_power_dbm(self) -> float:
-        return budget.received_power_dbm(
-            self.p_tx_dbm, self.d_m, self.f_hz, self.g_t_dbi, self.g_r_dbi
-        )
-
-    def residual_si_dbm(self) -> float:
-        return budget.residual_si_dbm(self.p_tx_dbm, self.alpha_iso_db, self.p_ris_db)

@@ -20,6 +20,12 @@ Candidates are drawn from ratios the searches build themselves, so they skip
 the validation :func:`sample_config` gives outside callers.  Every candidate
 handed to a backend is read-only.
 
+Every search scores through one private recorder: one backend call per
+configuration, a failure wrapped as :class:`EvaluationError` with the
+evaluation index, and the earliest strict best kept.  Greedy and random also
+record each reading for their :class:`ConvergenceTrace`; the exhaustive oracle
+keeps none, as 2**20 readings would be tens of megabytes nobody reads.
+
 Baselines: uniform random sampling over the same evaluation budget, and exact
 exhaustive enumeration for small surfaces.
 """
@@ -43,11 +49,6 @@ class EvaluationError(RuntimeError):
     def __init__(self, iteration: int, message: str):
         super().__init__(f"evaluation {iteration} failed: {message}")
         self.iteration = iteration
-
-
-def _evaluation_error(iteration: int, exc: Exception) -> EvaluationError:
-    """Wrap a backend failure, keeping the cause's type name in the message."""
-    return EvaluationError(iteration, f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +89,55 @@ class ConvergenceTrace:
         cu.setflags(write=False)
         object.__setattr__(self, "evaluated", ev)
         object.__setattr__(self, "cumulative", cu)
+
+
+class _Recorder:
+    """Scores configurations on one backend for one search run.
+
+    :meth:`score` keeps only the count and the earliest strict best;
+    :meth:`record` also keeps the reading for the trace.
+    """
+
+    def __init__(self, backend: EvaluationBackend):
+        self.backend = backend
+        self.count = 0
+        self.best_config: Optional[RisConfig] = None
+        self.best_reading: Optional[SiReading] = None
+        self._evaluated: list[float] = []
+        self._t0 = time.perf_counter()
+
+    def score(self, config: RisConfig) -> tuple[float, bool]:
+        """Evaluate once; returns the reading and whether it strictly beat the best."""
+        try:
+            reading = self.backend.evaluate(config)
+        except Exception as exc:  # noqa: BLE001 - re-raise with run context
+            raise EvaluationError(self.count, f"{type(exc).__name__}: {exc}") from exc
+        self.count += 1
+        value = reading.magnitude_db
+        improved = self.best_reading is None or value < self.best_reading.magnitude_db
+        if improved:
+            self.best_reading = reading
+            self.best_config = config
+        return value, improved
+
+    def record(self, config: RisConfig) -> tuple[float, bool]:
+        """:meth:`score`, keeping the reading for the trace."""
+        value, improved = self.score(config)
+        self._evaluated.append(value)
+        return value, improved
+
+    def trace(self, algorithm: str, **fields) -> ConvergenceTrace:
+        evaluated = np.asarray(self._evaluated, dtype=np.float64)
+        return ConvergenceTrace(
+            algorithm=algorithm,
+            evaluated=evaluated,
+            cumulative=np.minimum.accumulate(evaluated),
+            best_config=self.best_config,
+            best_reading=self.best_reading,
+            iterations_total=self.count,
+            wall_time_s=time.perf_counter() - self._t0,
+            **fields,
+        )
 
 
 def weighted_activation_ratio(configs: Sequence[RisConfig]) -> np.ndarray:
@@ -153,11 +203,8 @@ class GreedyOptimizer:
         self.buffer_size = buffer_size
         self.stall_limit = stall_limit
         self.rng = rng if rng is not None else np.random.default_rng()
+        self._rec = _Recorder(backend)
         self._nx, self._ny = backend.dims()
-        self._t0 = time.perf_counter()
-        self._evaluated: list[float] = []
-        self._cumulative: list[float] = []
-        self.iteration = 0
         self.termination_count = 0
 
         half = np.full((self._nx, self._ny), 0.5)
@@ -165,8 +212,7 @@ class GreedyOptimizer:
         warm_configs = []
         for _ in range(buffer_size):
             cand = _draw(half, self.rng)
-            reading, _ = self._evaluate(cand)
-            warm_readings.append(reading.magnitude_db)
+            warm_readings.append(self._rec.record(cand)[0])
             warm_configs.append(cand)
         order = np.argsort(np.asarray(warm_readings), kind="stable")
         self._readings = [warm_readings[i] for i in order]
@@ -180,28 +226,6 @@ class GreedyOptimizer:
     def _weighted_ratio(self) -> np.ndarray:
         return ((self._weights @ self._rows) / self._norm).reshape(self._nx, self._ny)
 
-    def _evaluate(self, config: RisConfig) -> tuple[SiReading, bool]:
-        """Score one configuration, extend the trace, track the running best.
-
-        Returns the reading and whether it strictly improved on the incumbent
-        (ties keep the earlier configuration).
-        """
-        try:
-            reading = self.backend.evaluate(config)
-        except Exception as exc:  # noqa: BLE001 - re-raise with run context
-            raise _evaluation_error(self.iteration, exc) from exc
-        self.iteration += 1
-        value = reading.magnitude_db
-        self._evaluated.append(value)
-        improved = not self._cumulative or value < self._cumulative[-1]
-        if improved:
-            self._cumulative.append(value)
-            self._best_si = reading
-            self._best_config = config
-        else:
-            self._cumulative.append(self._cumulative[-1])
-        return reading, improved
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -213,12 +237,17 @@ class GreedyOptimizer:
         return tuple(self._configs)
 
     @property
+    def iteration(self) -> int:
+        """Evaluations so far, the warm-up included."""
+        return self._rec.count
+
+    @property
     def best_reading(self) -> SiReading:
-        return self._best_si
+        return self._rec.best_reading
 
     @property
     def best_config(self) -> RisConfig:
-        return self._best_config
+        return self._rec.best_config
 
     @property
     def finished(self) -> bool:
@@ -233,8 +262,7 @@ class GreedyOptimizer:
     def step(self) -> float:
         """One evaluation: sample from the buffer, score, update. Returns the reading."""
         cand = _draw(self._ratio, self.rng)
-        reading, improved = self._evaluate(cand)
-        value = reading.magnitude_db
+        value, improved = self._rec.record(cand)
         if improved:
             # strict improvement on the incumbent: reset the stall counter
             self.termination_count = 0
@@ -268,16 +296,8 @@ class GreedyOptimizer:
         return self.trace()
 
     def trace(self) -> ConvergenceTrace:
-        return ConvergenceTrace(
-            algorithm="greedy",
-            evaluated=np.asarray(self._evaluated),
-            cumulative=np.asarray(self._cumulative),
-            best_config=self._best_config,
-            best_reading=self._best_si,
-            iterations_total=self.iteration,
-            buffer_size=self.buffer_size,
-            stall_limit=self.stall_limit,
-            wall_time_s=time.perf_counter() - self._t0,
+        return self._rec.trace(
+            "greedy", buffer_size=self.buffer_size, stall_limit=self.stall_limit
         )
 
 
@@ -286,9 +306,14 @@ def greedy_optimize(
     buffer_size: int = 100,
     stall_limit: int = 500,
     rng: Optional[np.random.Generator] = None,
+    max_evaluations: Optional[int] = None,
 ) -> ConvergenceTrace:
-    """Run the buffer-weighted search to stall-based termination."""
-    return GreedyOptimizer(backend, buffer_size, stall_limit, rng).run()
+    """Run the buffer-weighted search to stall-based termination.
+
+    ``max_evaluations`` optionally caps the run as :meth:`GreedyOptimizer.run`
+    does; the ``buffer_size`` warm-up evaluations always run in full.
+    """
+    return GreedyOptimizer(backend, buffer_size, stall_limit, rng).run(max_evaluations)
 
 
 def random_search(
@@ -300,34 +325,11 @@ def random_search(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     rng = rng if rng is not None else np.random.default_rng()
-    t0 = time.perf_counter()
-    nx, ny = backend.dims()
-    half = np.full((nx, ny), 0.5)
-    evaluated: list[float] = []
-    cumulative: list[float] = []
-    best_si: Optional[SiReading] = None
-    best_config: Optional[RisConfig] = None
-    for i in range(iterations):
-        cand = _draw(half, rng)
-        try:
-            reading = backend.evaluate(cand)
-        except Exception as exc:  # noqa: BLE001 - re-raise with run context
-            raise _evaluation_error(i, exc) from exc
-        value = reading.magnitude_db
-        evaluated.append(value)
-        if best_si is None or value < best_si.magnitude_db:
-            best_si = reading
-            best_config = cand
-        cumulative.append(best_si.magnitude_db)
-    return ConvergenceTrace(
-        algorithm="random",
-        evaluated=np.asarray(evaluated),
-        cumulative=np.asarray(cumulative),
-        best_config=best_config,
-        best_reading=best_si,
-        iterations_total=iterations,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    rec = _Recorder(backend)
+    half = np.full(backend.dims(), 0.5)
+    for _ in range(iterations):
+        rec.record(_draw(half, rng))
+    return rec.trace("random")
 
 
 EXHAUSTIVE_LIMIT = 20
@@ -349,19 +351,11 @@ def exhaustive_search(backend: EvaluationBackend) -> tuple[RisConfig, SiReading]
             f"exhaustive search limited to {EXHAUSTIVE_LIMIT} elements, got {n}"
         )
     shifts = np.arange(n - 1, -1, -1)
-    best_config: Optional[RisConfig] = None
-    best_si: Optional[SiReading] = None
+    rec = _Recorder(backend)
     for start in range(0, 2**n, EXHAUSTIVE_BLOCK):
         codes = np.arange(start, min(start + EXHAUSTIVE_BLOCK, 2**n))
         block = ((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, nx, ny)
         block.setflags(write=False)
-        for code, bits in enumerate(block, start):
-            cand = RisConfig._adopt(bits)
-            try:
-                reading = backend.evaluate(cand)
-            except Exception as exc:  # noqa: BLE001 - re-raise with run context
-                raise _evaluation_error(code, exc) from exc
-            if best_si is None or reading.magnitude_db < best_si.magnitude_db:
-                best_si = reading
-                best_config = cand
-    return best_config, best_si
+        for bits in block:
+            rec.score(RisConfig._adopt(bits))
+    return rec.best_config, rec.best_reading

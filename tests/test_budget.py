@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ris_sic.budget import fspl_db, leaked_power_dbm, received_power_dbm, residual_si_dbm
-from ris_sic.model import LinkBudget
 
 # 20*log10(4*pi*d*f/c0) at d = 1 m, f = 5.385 GHz
 FSPL_1M_REF = 47.071497374563381606
@@ -85,16 +84,3 @@ def test_power_identities_fuzz(p_tx, alpha, p_ris):
     assert leaked_power_dbm(p_tx, alpha) == p_tx - alpha
     assert residual_si_dbm(p_tx, alpha, p_ris) == p_tx - alpha - p_ris
 
-
-def test_link_budget_bundle_delegates():
-    lb = LinkBudget(p_tx_dbm=10.0, alpha_iso_db=44.0, p_ris_db=25.0, d_m=2.0, f_hz=5.385e9)
-    assert lb.leaked_power_dbm() == -34.0
-    assert lb.residual_si_dbm() == -59.0
-    assert lb.received_power_dbm() == received_power_dbm(10.0, 2.0, 5.385e9, 0.0, 0.0)
-
-
-def test_link_budget_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        LinkBudget(p_tx_dbm=10.0, alpha_iso_db=44.0, d_m=0.0)
-    with pytest.raises(ValueError):
-        LinkBudget(p_tx_dbm=10.0, alpha_iso_db=44.0, f_hz=-1.0)

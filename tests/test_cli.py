@@ -210,6 +210,29 @@ class TestSweep:
         rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         assert len(rows) == 2
 
+    def test_writes_each_points_best_configuration(self, small_scene_file, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        rc = run_cli(
+            "sweep", "--scene", small_scene_file,
+            "--bandwidth", 0, "--bandwidth", 2.5e6, "--points", 5,
+            "--runs", 2, "--buffer", 10, "--stall", 25, "--seed", 2,
+            "--horizon", 150, "--out", out,
+        )
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        for (bandwidth, _, _, _, _, best_db, _), tag in zip(rows, ("0mhz", "2.5mhz")):
+            best = tmp_path / f"sw.{tag}.best.txt"
+            assert f"best configuration to {best}\n" in stdout
+            text = best.read_text()
+            assert f"# bandwidth_hz: {bandwidth}\n" in text
+            assert f"# si_db: {best_db}\n" in text
+            snap = tmp_path / f"snap.{tag}.csv"
+            assert run_cli("snapshot", "--scene", small_scene_file, "--config", best,
+                           "--points", 21, "--out", snap) == 0
+            _, freqs, si = sceneio.read_snapshot(snap)
+            assert freqs.size == 21 and np.all(np.isfinite(si))
+
 
 class TestSnapshot:
     def test_from_best_config(self, small_scene_file, tmp_path, capsys):

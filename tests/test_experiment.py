@@ -66,6 +66,13 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             small_spec(small_params, stall_limit=0)
 
+    def test_greedy_horizon_must_cover_the_warm_up(self, small_params):
+        with pytest.raises(ValueError, match="warm-up"):
+            small_spec(small_params, horizon=9, buffer_size=10)
+        assert small_spec(small_params, horizon=10, buffer_size=10).horizon == 10
+        # the random baseline keeps no buffer
+        assert small_spec(small_params, algorithm="random", horizon=9).horizon == 9
+
     def test_hash_stability(self, small_params):
         a = small_spec(small_params)
         b = small_spec(small_params)
@@ -121,6 +128,16 @@ class TestRunCampaign:
             np.testing.assert_array_equal(res.curves[r, :n], tr.cumulative[:n])
             if n < 200:
                 assert np.all(res.curves[r, n:] == tr.cumulative[-1])
+
+    def test_runs_stop_at_the_horizon(self, small_params):
+        # buffer + stall = 50 > 40: without the cap every run passes the horizon
+        spec = small_spec(small_params, horizon=40, buffer_size=10, stall_limit=40)
+        res = run_campaign(spec)
+        backend = SimulatedBackend(build_scene(small_params))
+        for r, tr in enumerate(res.traces):
+            assert tr.iterations_total == 40
+            assert backend.evaluate(tr.best_config).magnitude_db == res.final_values[r]
+        assert backend.evaluate(res.best_config).magnitude_db == res.final_best_db
 
     def test_random_algorithm_runs_to_horizon(self, small_params):
         spec = small_spec(small_params, algorithm="random", horizon=60)
