@@ -24,7 +24,10 @@ Static multipath ("clutter") is modeled as a small set of frozen scattering
 taps per path: complex Gaussian gains at random excess delays, scaled to a
 configurable power relative to the deterministic path.  At any single
 frequency this is complex Gaussian clutter; across frequency it decorrelates
-on the physical coherence-bandwidth scale set by the delay spread.
+on the physical coherence-bandwidth scale set by the delay spread.  Taps are
+evaluated in blocks of paths of at most ``TAP_BLOCK`` phase terms, so memory
+does not grow with taps x points; ``-2j*pi*delay`` is formed over all paths
+before the blocks are cut, which keeps the channels bit-exact.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
 PATH_TERMS_MEMO_SIZE = 4
+TAP_BLOCK = 1 << 16  # clutter phase terms alive at once in _tap_response (1 MiB)
 _PATH_TERMS_MEMO: dict = {}  # (id(h), id(g), id(gamma_on), id(gamma_off)) -> (operands, tables)
 
 
@@ -165,11 +169,24 @@ def _tap_response(gains: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> n
     """Frozen clutter taps evaluated on a frequency axis.
 
     gains/delays have shape (..., M); the result has shape (..., K) and unit
-    average power per path.
+    average power per path.  Rows of paths are taken in blocks of at most
+    ``TAP_BLOCK`` phase terms, never the whole (..., M, K) tensor.  ``scaled``
+    is formed over all paths before slicing, so its product keeps the unblocked
+    SIMD body/tail split; later steps are elementwise or reduce within a row,
+    so the result is bit-identical to the unblocked formula.
     """
     m = gains.shape[-1]
-    phase = np.exp(-2j * np.pi * delays[..., :, None] * freqs[None, :])
-    return np.einsum("...m,...mk->...k", gains, phase) / math.sqrt(m)
+    scaled = (-2j * np.pi * delays[..., :, None]).reshape(-1, m, 1)
+    gains = gains.reshape(-1, m)
+    out = np.empty((gains.shape[0], freqs.size), dtype=np.complex128)
+    rows = max(1, TAP_BLOCK // (m * max(freqs.size, 1)))
+    for r in range(0, out.shape[0], rows):
+        phase = scaled[r:r + rows] * freqs
+        np.exp(phase, out=phase)
+        np.einsum("rm,rmk->rk", gains[r:r + rows], phase, out=out[r:r + rows])
+        del phase  # one block alive at a time
+    out /= math.sqrt(m)
+    return out.reshape(delays.shape[:-1] + (freqs.size,))
 
 
 @dataclass(frozen=True)
@@ -186,12 +203,13 @@ class _ChannelModel:
     center_hz: float
     direct_scale: float
     clutter_amp: float  # linear, relative to each deterministic path; 0 = off
-    direct_tap_gain: np.ndarray  # (M,) complex
-    direct_tap_delay: np.ndarray  # (M,)
-    h_tap_gain: np.ndarray  # (N, M) complex
-    h_tap_delay: np.ndarray  # (N, M)
-    g_tap_gain: np.ndarray  # (N, M) complex
-    g_tap_delay: np.ndarray  # (N, M)
+    # clutter taps, read only when clutter_amp > 0
+    direct_tap_gain: Optional[np.ndarray] = None  # (M,) complex
+    direct_tap_delay: Optional[np.ndarray] = None  # (M,)
+    h_tap_gain: Optional[np.ndarray] = None  # (N, M) complex
+    h_tap_delay: Optional[np.ndarray] = None  # (N, M)
+    g_tap_gain: Optional[np.ndarray] = None  # (N, M) complex
+    g_tap_delay: Optional[np.ndarray] = None  # (N, M)
 
     def direct_at(self, freqs: np.ndarray) -> np.ndarray:
         det = self.alpha_amp * np.exp(-2j * np.pi * freqs * self.d_direct_m / C0_M_PER_S)
@@ -302,27 +320,23 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
         raise ValueError("degenerate geometry: an antenna coincides with a surface element")
 
     m = clu.taps
+    clutter_amp, taps = 0.0, {}
     if clu.enabled:
         rng = np.random.default_rng(np.random.SeedSequence(clu.seed if seed is None else seed))
 
         def _cgauss(shape):
             return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
-        direct_tap_gain = _cgauss((m,))
-        direct_tap_delay = rng.uniform(0.0, clu.delay_spread_s, size=(m,))
-        h_tap_gain = _cgauss((n, m))
-        h_tap_delay = rng.uniform(0.0, clu.delay_spread_s, size=(n, m))
-        g_tap_gain = _cgauss((n, m))
-        g_tap_delay = rng.uniform(0.0, clu.delay_spread_s, size=(n, m))
+        # drawn in this order: the clutter seed fixes every tap
+        taps = dict(
+            direct_tap_gain=_cgauss((m,)),
+            direct_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(m,)),
+            h_tap_gain=_cgauss((n, m)),
+            h_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(n, m)),
+            g_tap_gain=_cgauss((n, m)),
+            g_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(n, m)),
+        )
         clutter_amp = db_to_linear(clu.relative_power_db)
-    else:
-        direct_tap_gain = np.zeros((m,), dtype=np.complex128)
-        direct_tap_delay = np.zeros((m,))
-        h_tap_gain = np.zeros((n, m), dtype=np.complex128)
-        h_tap_delay = np.zeros((n, m))
-        g_tap_gain = np.zeros((n, m), dtype=np.complex128)
-        g_tap_delay = np.zeros((n, m))
-        clutter_amp = 0.0
 
     model = _ChannelModel(
         d_direct_m=geo.antenna_separation_m,
@@ -335,12 +349,7 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
         center_hz=gridspec.center_hz,
         direct_scale=1.0,
         clutter_amp=clutter_amp,
-        direct_tap_gain=direct_tap_gain,
-        direct_tap_delay=direct_tap_delay,
-        h_tap_gain=h_tap_gain,
-        h_tap_delay=h_tap_delay,
-        g_tap_gain=g_tap_gain,
-        g_tap_delay=g_tap_delay,
+        **taps,
     )
     # Calibrate the direct leakage at the center frequency only.
     uncal = model.direct_at(np.array([gridspec.center_hz]))[0]

@@ -272,8 +272,8 @@ def transfer_snapshot(
     """
     if points < 2:
         raise ValueError(f"snapshot needs >= 2 points, got {points}")
-    if span_hz <= 0.0:
-        raise ValueError(f"span must be positive, got {span_hz}")
+    if not 0.0 < span_hz < 2.0 * scene.grid.center_hz:
+        raise ValueError(f"span {span_hz} Hz is not inside the positive-frequency span")
     _check_dims(scene, config)
     freqs = np.linspace(
         scene.grid.center_hz - span_hz / 2.0,

@@ -1,5 +1,8 @@
 """Channel construction: geometry, calibration, clutter, and the transfer kernel."""
 
+import hashlib
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +322,118 @@ class TestTermTables:
             got = transfer_vector(*kernel_args(scene), flat)
             assert np.array_equal(got, direct_formula(*kernel_args(scene), flat))
             assert 1 <= len(channel._PATH_TERMS_MEMO) <= channel.PATH_TERMS_MEMO_SIZE
+
+
+def full_tensor_tap_response(gains, delays, freqs):
+    """Clutter taps from the whole (..., M, K) phase tensor at once."""
+    m = gains.shape[-1]
+    phase = np.exp(-2j * np.pi * delays[..., :, None] * freqs[None, :])
+    return np.einsum("...m,...mk->...k", gains, phase) / math.sqrt(m)
+
+
+class TestTapResponse:
+    """Blocked clutter taps against the full-tensor formula, byte for byte."""
+
+    @pytest.mark.parametrize("block", [1, 7, channel.TAP_BLOCK, 1 << 30])
+    @pytest.mark.parametrize("k", [1, 2, 11, 201])
+    @pytest.mark.parametrize("lead", [(), (37,)])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_blocks_equal_full_tensor(self, monkeypatch, block, k, lead, m):
+        rng = np.random.default_rng(1000 * m + k)
+        gains = rng.standard_normal(lead + (m,)) + 1j * rng.standard_normal(lead + (m,))
+        delays = rng.uniform(0.0, 30e-9, size=lead + (m,))
+        freqs = np.linspace(FC - 10e6, FC + 10e6, k) if k > 1 else np.array([FC])
+        monkeypatch.setattr(channel, "TAP_BLOCK", block)
+        got = channel._tap_response(gains, delays, freqs)
+        want = full_tensor_tap_response(gains, delays, freqs)
+        assert got.shape == want.shape == lead + (k,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_shipped_snapshot_spans_blocks(self):
+        # the default 16x16, 8-tap scene on a 201-point axis: 40 rows a block,
+        # 256 rows in all, so the last block is short
+        model = build_scene(default_scene_params()).channel_model
+        freqs = np.linspace(FC - 10e6, FC + 10e6, 201)
+        assert model.h_tap_gain.size * freqs.size > channel.TAP_BLOCK
+        for gains, delays in ((model.h_tap_gain, model.h_tap_delay),
+                              (model.g_tap_gain, model.g_tap_delay),
+                              (model.direct_tap_gain, model.direct_tap_delay)):
+            got = channel._tap_response(gains, delays, freqs)
+            assert got.tobytes() == full_tensor_tap_response(gains, delays, freqs).tobytes()
+
+    def test_snapshot_channels_peak_memory_is_bounded(self):
+        # a whole (N, M, K) phase tensor and its exp would take ~9x the
+        # channels returned; tap blocks keep the peak near the output
+        scene = build_scene(default_scene_params())
+        freqs = np.linspace(FC - 10e6, FC + 10e6, 2001)
+        tracemalloc.start()
+        try:
+            out = scene.channels_at(freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sum(a.nbytes for a in out)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of (direct, h, g) per case, captured before the taps were blocked;
+# h and g go through float64 log10 and power, whose bits depend on the loop
+# numpy dispatches: SVML on X86_V4, the C library's on the baseline (glibc 2.36)
+CHANNEL_PINS = {
+    "X86_V4": {
+        "default": ("3080312ae74416ecdcc08890f78e4afc38f21630a1cfe7cb9560ae02896ed6eb",
+                    "495a4ffcade7909efb113cf7fd23521b4f5d7b46b961d57dd5b13e7cc6d49ec2",
+                    "094cb3ea00d61ab6ccbcd29635246ba6c086e369ffd3f9e73dde20320d6169c6"),
+        "wb10": ("e0a2c0b1cffe0603e57dfd30222509273fc49e1879d7207b26bafa9bfb252fae",
+                 "50799376011956b6f9875f58e6b5edc5249731e290bd8aceea7a8e13987b8260",
+                 "5954176ed288b2e22f7ced350a033d0aa68702c12c0d2109a535144d9d9504bf"),
+        "snapshot201": ("baa70f855a17d7d6e34bf27d1d2cba21b75f9c29dd5fed784fa0b352d7c7545c",
+                        "cb4af2a45ab5c9d76e7bb989204258299494388a97d800d66e90903cc265fde2",
+                        "a07eb769ac540a03afe3f9db7b0c300dcde1e07be3d1a940014a4da16f41f84c"),
+    },
+    "baseline(X86_V2)": {
+        "default": ("3080312ae74416ecdcc08890f78e4afc38f21630a1cfe7cb9560ae02896ed6eb",
+                    "f5b1a1ce2ae06cb6f294281462d4a7140830a8f650b232daec92f19e86639a17",
+                    "70c2d0b5b909fd16c302d48713a58c93bfa5e13320f423b5497ee3452bda1f13"),
+        "wb10": ("e0a2c0b1cffe0603e57dfd30222509273fc49e1879d7207b26bafa9bfb252fae",
+                 "a5d0ddf8605131071cb7b19b8dd68cc83769637e781f0e4c38b2f84121966876",
+                 "75ebb6c08671aff1a074993c18ed6e1f5a0e3faa96f09ee68ad68bec3fe8ed89"),
+        "snapshot201": ("baa70f855a17d7d6e34bf27d1d2cba21b75f9c29dd5fed784fa0b352d7c7545c",
+                        "2b3acab241084e8b6fc9ffb452c6a0536fe18db224d17296195d7a1135dbcf91",
+                        "2016a90e1f65850303750b1ad380b0c71c64f1115a55bee3ad6fedb4d7c45f33"),
+    },
+}
+
+
+def _float64_dispatch():
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="log10|power", signature="float64")
+    targets = {loop["current"] for loops in info.values() for loop in loops.values()}
+    return targets.pop() if len(targets) == 1 else None
+
+
+class TestChannelPins:
+    """Channel synthesis bits, pinned per float64 dispatch target."""
+
+    @pytest.mark.parametrize("case", ["default", "wb10", "snapshot201"])
+    def test_channels_match_pins(self, case):
+        target = _float64_dispatch()
+        if target not in CHANNEL_PINS:
+            pytest.skip(f"no pins for the float64 log10/power dispatch target {target}")
+        pins = CHANNEL_PINS[target]
+        p = default_scene_params()
+        if case == "snapshot201":
+            arrays = build_scene(p).channels_at(np.linspace(FC - 10e6, FC + 10e6, 201))
+        else:
+            scene = build_scene(p if case == "default" else replace(p, grid=GridSpec(FC, 10e6, 11)))
+            arrays = scene.direct, scene.h, scene.g
+        assert tuple(_sha256(a) for a in arrays) == pins[case]
 
 
 class TestSceneObject:

@@ -253,6 +253,18 @@ class TestSnapshot:
                                            "1111"}
         assert np.all(np.isfinite(si))
 
+    @pytest.mark.parametrize("span", [12e9, "nan"])
+    def test_span_reaching_zero_hz_is_domain_error(self, small_scene_file, tmp_path,
+                                                   capsys, span):
+        config_file = tmp_path / "c.txt"
+        config_file.write_text("# ris-sic config v1\n0101\n1010\n0011\n1100\n")
+        out = tmp_path / "s.csv"
+        rc = run_cli("snapshot", "--scene", small_scene_file, "--config", config_file,
+                     "--span", span, "--points", 5, "--out", out)
+        assert rc == 2
+        assert "positive-frequency span" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_is_domain_error(self, small_scene_file, tmp_path, capsys):
         config_file = tmp_path / "c.txt"
         config_file.write_text("# ris-sic config v1\n01\n10\n")

@@ -248,6 +248,10 @@ class TestTransferSnapshot:
         config = RisConfig.all_on(4, 4)
         with pytest.raises(ValueError):
             transfer_snapshot(wideband_scene, config, 0.0, 11)
+        center = wideband_scene.grid.center_hz
+        for span in (12e9, 2.0 * center, float("nan")):  # reach 0 Hz or undefined
+            with pytest.raises(ValueError, match="positive-frequency span"):
+                transfer_snapshot(wideband_scene, config, span, 5)
         with pytest.raises(ValueError):
             transfer_snapshot(wideband_scene, config, 10e6, 1)
         with pytest.raises(ValueError):
