@@ -8,6 +8,7 @@ search code.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -42,6 +43,8 @@ class SimulatedBackend:
     """
 
     def __init__(self, scene: channel.Scene, noise_floor_db: Optional[float] = None):
+        if noise_floor_db is not None and math.isnan(noise_floor_db):
+            raise ValueError("noise_floor_db must not be NaN")
         self._scene = scene
         self._noise_floor_db = noise_floor_db
 

@@ -117,10 +117,12 @@ class GridSpec:
     points: int = 1
 
     def __post_init__(self):
-        if self.center_hz <= 0.0:
-            raise ValueError(f"center_hz must be positive, got {self.center_hz}")
-        if self.bandwidth_hz < 0.0:
-            raise ValueError(f"bandwidth_hz must be non-negative, got {self.bandwidth_hz}")
+        if not (math.isfinite(self.center_hz) and self.center_hz > 0.0):
+            raise ValueError(f"center_hz must be positive and finite, got {self.center_hz}")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
+            raise ValueError(
+                f"bandwidth_hz must be non-negative and finite, got {self.bandwidth_hz}"
+            )
         if self.bandwidth_hz == 0.0 and self.points != 1:
             raise ValueError("narrowband grid (bandwidth 0) must have exactly 1 point")
         if self.bandwidth_hz > 0.0 and self.points < 2:

@@ -60,7 +60,7 @@ def _scene_header(params: SceneParams, seed: Optional[int] = None) -> dict[str, 
     meta = {"created_utc": _now_utc()}
     if seed is not None:
         meta["seed"] = str(seed)
-    meta.update({f"scene.{k}": v for k, v in sceneio.flatten_scene_params(params).items()})
+    meta.update(sceneio.flatten_scene_params(params, "scene."))
     return meta
 
 
@@ -173,10 +173,8 @@ def _cmd_snapshot(args) -> int:
     freqs, si_db = experiment.transfer_snapshot(scene, config, args.span, args.points)
     header = _scene_header(params)
     header["config_file"] = str(args.config)
-    for x in range(config.nx):
-        header[f"config_row_{x:02d}"] = "".join(
-            "1" if v else "0" for v in config.states[x]
-        )
+    rows = sceneio.config_rows(config)
+    header.update({f"config_row_{x:02d}": row for x, row in enumerate(rows)})
     sceneio.write_snapshot(freqs, si_db, args.out, header=header)
     print(
         f"snapshot: {args.points} points over {args.span / 1e6:g} MHz, "

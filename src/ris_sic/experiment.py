@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .channel import (
 )
 from .model import RisConfig
 from .search import ConvergenceTrace, greedy_optimize, random_search
-from .sceneio import flatten_scene_params
+from .sceneio import flatten_campaign_spec
 
 ALGORITHMS = ("greedy", "random")
 
@@ -62,15 +63,8 @@ class CampaignSpec:
 
 def campaign_spec_hash(spec: CampaignSpec) -> str:
     """Stable hex digest of the full campaign parameter set."""
-    items = {
-        "campaign.algorithm": spec.algorithm,
-        "campaign.runs": str(spec.runs),
-        "campaign.master_seed": str(spec.master_seed),
-        "campaign.horizon": str(spec.horizon),
-        "campaign.buffer_size": str(spec.buffer_size),
-        "campaign.stall_limit": str(spec.stall_limit),
-    }
-    items.update({f"scene.{k}": v for k, v in flatten_scene_params(spec.scene).items()})
+    items = {k if k.startswith("scene.") else f"campaign.{k}": v
+             for k, v in flatten_campaign_spec(spec).items()}
     canonical = "\n".join(f"{k}={items[k]}" for k in sorted(items))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -96,21 +90,23 @@ class CampaignResult:
     spec_hash: str
     traces: tuple[ConvergenceTrace, ...]
     curves: np.ndarray  # (runs, horizon)
-    mean_curve: np.ndarray  # (horizon,)
-    final_values: np.ndarray  # (runs,)
     created_utc: str
 
     def __post_init__(self):
         r, h = self.spec.runs, self.spec.horizon
         if self.curves.shape != (r, h):
             raise ValueError(f"curves must have shape ({r}, {h}), got {self.curves.shape}")
-        if not np.array_equal(self.mean_curve, self.curves.mean(axis=0)):
-            raise ValueError("mean_curve is not the mean of curves")
-        if not np.array_equal(self.final_values, self.curves[:, -1]):
-            raise ValueError("final_values is not the last curve column")
-        for name in ("curves", "mean_curve", "final_values"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        self.curves.setflags(write=False)
+
+    @property
+    def mean_curve(self) -> np.ndarray:
+        """Mean cumulative curve over the runs, shape (horizon,)."""
+        return self.curves.mean(axis=0)
+
+    @property
+    def final_values(self) -> np.ndarray:
+        """Each run's horizon-limited final value, shape (runs,); read-only."""
+        return self.curves[:, -1]
 
     @property
     def final_median_db(self) -> float:
@@ -177,8 +173,6 @@ def run_campaign(
         spec_hash=campaign_spec_hash(spec),
         traces=tuple(traces),
         curves=curves,
-        mean_curve=curves.mean(axis=0),
-        final_values=curves[:, -1].copy(),
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
@@ -189,71 +183,40 @@ def run_campaign(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregate outcome of one bandwidth setting (one campaign)."""
+    """Outcome of one bandwidth setting (one campaign); statistics read ``result``."""
 
     bandwidth_hz: float
     points: int
-    runs: int
-    final_median_db: float
-    final_mean_db: float
-    final_best_db: float
-    final_worst_db: float
     result: CampaignResult = field(repr=False, compare=False)
+
+    runs = property(attrgetter("result.spec.runs"))
+    final_median_db = property(attrgetter("result.final_median_db"))
+    final_mean_db = property(attrgetter("result.final_mean_db"))
+    final_best_db = property(attrgetter("result.final_best_db"))
+    final_worst_db = property(attrgetter("result.final_worst_db"))
 
 
 def bandwidth_sweep(
-    scene: SceneParams,
-    bandwidths_hz: Sequence[float],
-    points: int = 11,
-    runs: int = 100,
-    master_seed: int = 0,
-    horizon: int = 5000,
-    buffer_size: int = 100,
-    stall_limit: int = 500,
+    scene: SceneParams, bandwidths_hz: Sequence[float], points: int = 11, **campaign
 ) -> list[SweepPoint]:
     """Greedy campaigns across objective bandwidths on otherwise equal scenes.
 
     Bandwidth 0 means the narrowband single-point objective; every other value
-    uses ``points`` equidistant frequencies.  All campaigns share the master
-    seed so bandwidth is the only thing that varies.
+    uses ``points`` equidistant frequencies.  ``campaign`` sets the remaining
+    :class:`CampaignSpec` fields (``runs``, ``master_seed``, ``horizon``, ...)
+    for every campaign, so bandwidth is the only thing that varies.  Every spec
+    is built, and so validated, before the first campaign runs.
     """
-    if len(bandwidths_hz) < 1:
+    bandwidths = [float(b) for b in bandwidths_hz]
+    if not bandwidths:
         raise ValueError("need at least one bandwidth")
-    if len(set(float(b) for b in bandwidths_hz)) != len(bandwidths_hz):
+    if len(set(bandwidths)) != len(bandwidths):
         raise ValueError("bandwidths must be distinct")
-    rows: list[SweepPoint] = []
-    for bw in bandwidths_hz:
-        bw = float(bw)
-        if bw < 0.0:
-            raise ValueError(f"bandwidth must be non-negative, got {bw}")
-        grid = GridSpec(
-            center_hz=scene.grid.center_hz,
-            bandwidth_hz=bw,
-            points=1 if bw == 0.0 else points,
-        )
-        spec = CampaignSpec(
-            scene=replace(scene, grid=grid),
-            algorithm="greedy",
-            runs=runs,
-            master_seed=master_seed,
-            horizon=horizon,
-            buffer_size=buffer_size,
-            stall_limit=stall_limit,
-        )
-        result = run_campaign(spec)
-        rows.append(
-            SweepPoint(
-                bandwidth_hz=bw,
-                points=grid.points,
-                runs=runs,
-                final_median_db=result.final_median_db,
-                final_mean_db=result.final_mean_db,
-                final_best_db=result.final_best_db,
-                final_worst_db=result.final_worst_db,
-                result=result,
-            )
-        )
-    return rows
+    grids = [GridSpec(scene.grid.center_hz, bw, 1 if bw == 0.0 else points) for bw in bandwidths]
+    specs = [CampaignSpec(replace(scene, grid=grid), algorithm="greedy", **campaign)
+             for grid in grids]
+    return [SweepPoint(grid.bandwidth_hz, grid.points, run_campaign(spec))
+            for grid, spec in zip(grids, specs)]
 
 
 # --------------------------------------------------------------------------

@@ -14,24 +14,17 @@ import configparser
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import (
-    Calibration,
-    CellParams,
-    ClutterParams,
-    Geometry,
-    GridSpec,
-    SceneParams,
-)
+from .channel import SceneParams
 from .model import RisConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .experiment import CampaignResult, SweepPoint
+    from .experiment import CampaignResult, CampaignSpec, SweepPoint
     from .search import ConvergenceTrace
 
 PathLike = Union[str, Path]
@@ -41,6 +34,12 @@ CAMPAIGN_MAGIC = "# ris-sic campaign v1"
 SWEEP_MAGIC = "# ris-sic sweep v1"
 SNAPSHOT_MAGIC = "# ris-sic snapshot v1"
 CONFIG_MAGIC = "# ris-sic config v1"
+
+TRACE_COLUMNS = ("iteration", "evaluated_db", "cumulative_db")
+CAMPAIGN_COLUMNS = ("iteration", "mean_cumulative_db")
+SWEEP_COLUMNS = ("bandwidth_hz", "points", "runs", "final_median_db", "final_mean_db",
+                 "final_best_db", "final_worst_db")
+SNAPSHOT_COLUMNS = ("frequency_hz", "si_db")
 
 # Keys whose values change between otherwise identical runs; byte-level
 # reproducibility comparisons should ignore lines carrying these.
@@ -59,48 +58,13 @@ class TraceIntegrityError(ValueError):
 # scene files
 # --------------------------------------------------------------------------
 
-# section -> key -> (python type, attribute path)
-SCENE_SCHEMA: dict[str, dict[str, type]] = {
-    "geometry": {
-        "nx": int,
-        "ny": int,
-        "pitch_m": float,
-        "antenna_distance_m": float,
-        "antenna_separation_m": float,
-        "tx_gain_dbi": float,
-        "rx_gain_dbi": float,
-        "element_gain_dbi": float,
-    },
-    "cell": {
-        "amplitude_on": float,
-        "amplitude_off": float,
-        "phase_target_deg": float,
-        "quality_factor": float,
-    },
-    "calibration": {
-        "alpha_iso_db": float,
-        "p_tx_dbm": float,
-    },
-    "clutter": {
-        "relative_power_db": float,
-        "delay_spread_s": float,
-        "taps": int,
-        "seed": int,
-    },
-    "grid": {
-        "center_hz": float,
-        "bandwidth_hz": float,
-        "points": int,
-    },
-}
+def _keys(cls) -> dict[str, type]:
+    """Field name -> type of its default, for every field of ``cls`` that has one."""
+    return {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
 
-_SECTION_TYPES = {
-    "geometry": Geometry,
-    "cell": CellParams,
-    "calibration": Calibration,
-    "clutter": ClutterParams,
-    "grid": GridSpec,
-}
+
+# The SceneParams dataclasses are the scene schema: section -> (class, key -> type)
+_SCENE_SECTIONS = {name: (kind, _keys(kind)) for name, kind in _keys(SceneParams).items()}
 
 
 def fmt_float(value: float) -> str:
@@ -142,46 +106,53 @@ def parse_scene_text(text: str, source: str = "<string>") -> SceneParams:
         return f"{source}:{lineno}" if lineno is not None else source
 
     for section in parser.sections():
-        if section not in SCENE_SCHEMA:
+        if section not in _SCENE_SECTIONS:
             raise SceneFormatError(
                 f"{_where(section)}: unknown section [{section}]; expected one of "
-                f"{', '.join(SCENE_SCHEMA)}"
+                f"{', '.join(_SCENE_SECTIONS)}"
             )
         for key in parser[section]:
-            if key not in SCENE_SCHEMA[section]:
+            if key not in _SCENE_SECTIONS[section][1]:
                 raise SceneFormatError(
                     f"{_where(section, key)}: unknown key '{key}' in [{section}]"
                 )
 
-    kwargs_by_section: dict[str, dict[str, object]] = {}
-    for section, keys in SCENE_SCHEMA.items():
+    values: dict[str, dict[str, object]] = {}
+    for section, (_, keys) in _SCENE_SECTIONS.items():
         if section not in parser:
             raise SceneFormatError(f"{source}: missing section [{section}]")
-        values: dict[str, object] = {}
-        for key, caster in keys.items():
+        values[section] = {}
+        for key, kind in keys.items():
             if key not in parser[section]:
                 raise SceneFormatError(f"{source}: missing key '{key}' in [{section}]")
             raw = parser[section][key].strip()
             try:
-                value = caster(raw)
+                value = kind(raw)
             except ValueError as exc:
                 raise SceneFormatError(
                     f"{_where(section, key)}: '{raw}' is not a valid "
-                    f"{caster.__name__} for {section}.{key}"
+                    f"{kind.__name__} for {section}.{key}"
                 ) from exc
-            if caster is float and value != value:  # NaN
+            if kind is float and value != value:  # NaN
                 raise SceneFormatError(
                     f"{_where(section, key)}: {section}.{key} must not be NaN"
                 )
-            values[key] = value
-        kwargs_by_section[section] = values
+            values[section][key] = value
 
     try:
-        return SceneParams(
-            **{name: _SECTION_TYPES[name](**kw) for name, kw in kwargs_by_section.items()}
-        )
+        return _scene_from_sections(values)
     except ValueError as exc:
         raise SceneFormatError(f"{source}: {exc}") from exc
+
+
+def _scene_from_sections(values: Mapping[str, Mapping[str, object]]) -> SceneParams:
+    return SceneParams(**{name: kind(**values[name])
+                          for name, (kind, _) in _SCENE_SECTIONS.items()})
+
+
+def _format_value(kind: type, value) -> str:
+    """A key's value, formatted by its schema type (not the value's type)."""
+    return fmt_float(value) if kind is float else str(value)
 
 
 def parse_scene(path: PathLike) -> SceneParams:
@@ -190,19 +161,10 @@ def parse_scene(path: PathLike) -> SceneParams:
 
 
 def format_scene(params: SceneParams) -> str:
-    sections = {
-        "geometry": params.geometry,
-        "cell": params.cell,
-        "calibration": params.calibration,
-        "clutter": params.clutter,
-        "grid": params.grid,
-    }
-    out = []
-    for section, obj in sections.items():
+    flat, out = flatten_scene_params(params), []
+    for section, (_, keys) in _SCENE_SECTIONS.items():
         out.append(f"[{section}]")
-        for key, caster in SCENE_SCHEMA[section].items():
-            value = getattr(obj, key)
-            out.append(f"{key} = {value if caster is int else fmt_float(value)}")
+        out.extend(f"{key} = {flat[section + '.' + key]}" for key in keys)
         out.append("")
     return "\n".join(out)
 
@@ -211,35 +173,28 @@ def write_scene(params: SceneParams, path: PathLike) -> None:
     _atomic_write(path, format_scene(params))
 
 
-def flatten_scene_params(params: SceneParams) -> dict[str, str]:
-    """Stable ``section.key -> formatted value`` view (hashing, file headers)."""
-    flat: dict[str, str] = {}
-    sections = {
-        "geometry": params.geometry,
-        "cell": params.cell,
-        "calibration": params.calibration,
-        "clutter": params.clutter,
-        "grid": params.grid,
-    }
-    for section, obj in sections.items():
-        for key, caster in SCENE_SCHEMA[section].items():
-            value = getattr(obj, key)
-            flat[f"{section}.{key}"] = str(value) if caster is int else fmt_float(value)
-    return flat
+def flatten_scene_params(params: SceneParams, prefix: str = "") -> dict[str, str]:
+    """Stable ``<prefix>section.key -> formatted value`` view (hashing, file headers)."""
+    return {f"{prefix}{section}.{key}": _format_value(kind, getattr(getattr(params, section), key))
+            for section, (_, keys) in _SCENE_SECTIONS.items() for key, kind in keys.items()}
 
 
 def scene_params_from_flat(flat: Mapping[str, str]) -> SceneParams:
     """Inverse of :func:`flatten_scene_params`."""
-    by_section: dict[str, dict[str, object]] = {name: {} for name in SCENE_SCHEMA}
-    for section, keys in SCENE_SCHEMA.items():
-        for key, caster in keys.items():
-            dotted = f"{section}.{key}"
-            if dotted not in flat:
-                raise SceneFormatError(f"missing scene entry '{dotted}'")
-            by_section[section][key] = caster(flat[dotted])
-    return SceneParams(
-        **{name: _SECTION_TYPES[name](**kw) for name, kw in by_section.items()}
-    )
+    try:
+        values = {section: {key: kind(flat[f"{section}.{key}"]) for key, kind in keys.items()}
+                  for section, (_, keys) in _SCENE_SECTIONS.items()}
+    except KeyError as exc:
+        raise SceneFormatError(f"missing scene entry {exc}") from exc
+    return _scene_from_sections(values)
+
+
+def flatten_campaign_spec(spec: "CampaignSpec") -> dict[str, str]:
+    """A campaign spec's own fields, then its ``scene.*`` entries (file headers, hashing)."""
+    flat = {name: _format_value(kind, getattr(spec, name))
+            for name, kind in _keys(type(spec)).items()}
+    flat.update(flatten_scene_params(spec.scene, "scene."))
+    return flat
 
 
 # --------------------------------------------------------------------------
@@ -265,8 +220,22 @@ def _header_lines(header: Mapping[str, str]) -> list[str]:
     return [f"# {key}: {value}" for key, value in header.items()]
 
 
-def _read_table(path: PathLike, magic: str) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Returns (header dict, column names, data array of shape (rows, cols))."""
+def _write_table(
+    path: PathLike,
+    magic: str,
+    header: Optional[Mapping[str, str]],
+    columns: Sequence[str],
+    rows: Iterable[str],
+) -> None:
+    """Magic line, ``# key: value`` header lines, the columns line, then the rows."""
+    lines = [magic, *_header_lines(header or {}), "# columns: " + ",".join(columns), *rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _read_table(
+    path: PathLike, magic: str, columns: Sequence[str]
+) -> tuple[dict[str, str], np.ndarray]:
+    """Returns (header dict, data array of shape (rows, len(columns)))."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != magic:
@@ -274,7 +243,7 @@ def _read_table(path: PathLike, magic: str) -> tuple[dict[str, str], list[str], 
             f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)"
         )
     header: dict[str, str] = {}
-    columns: list[str] = []
+    width, seen_columns = len(columns), False
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -285,22 +254,27 @@ def _read_table(path: PathLike, magic: str) -> tuple[dict[str, str], list[str], 
             if ":" in body:
                 key, _, value = body.partition(":")
                 if key.strip() == "columns":
-                    columns = [c.strip() for c in value.split(",")]
+                    found = [c.strip() for c in value.split(",")]
+                    if found != list(columns):
+                        raise TraceIntegrityError(f"{path}: unexpected columns {found}")
+                    seen_columns = True
                 else:
                     header[key.strip()] = value.strip()
             continue
+        values = stripped.split(",")
+        if len(values) != width:
+            raise TraceIntegrityError(
+                f"{path}:{lineno}: row has {len(values)} fields, expected {width}"
+            )
         try:
-            rows.append([float(v) for v in stripped.split(",")])
+            rows.append([float(v) for v in values])
         except ValueError as exc:
             raise TraceIntegrityError(f"{path}:{lineno}: bad data row: {stripped!r}") from exc
-    if not columns:
+    if not seen_columns:
         raise TraceIntegrityError(f"{path}: missing '# columns:' line")
-    data = np.asarray(rows, dtype=np.float64)
-    if data.size and data.shape[1] != len(columns):
-        raise TraceIntegrityError(
-            f"{path}: rows have {data.shape[1]} fields, columns line has {len(columns)}"
-        )
-    return header, columns, data
+    if not rows:
+        raise TraceIntegrityError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -332,19 +306,14 @@ def write_trace(
     meta["final_db"] = fmt_float(trace.best_reading.magnitude_db)
     if header:
         meta.update({str(k): str(v) for k, v in header.items()})
-    out = [TRACE_MAGIC, *_header_lines(meta), "# columns: iteration,evaluated_db,cumulative_db"]
-    for i, (ev, cu) in enumerate(zip(trace.evaluated, trace.cumulative), start=1):
-        out.append(f"{i},{fmt_float(ev)},{fmt_float(cu)}")
-    _atomic_write(path, "\n".join(out) + "\n")
+    rows = (f"{i},{fmt_float(ev)},{fmt_float(cu)}"
+            for i, (ev, cu) in enumerate(zip(trace.evaluated, trace.cumulative), start=1))
+    _write_table(path, TRACE_MAGIC, meta, TRACE_COLUMNS, rows)
 
 
 def read_trace(path: PathLike) -> LoadedTrace:
     """Load a trace table; rejects tampered cumulative columns."""
-    header, columns, data = _read_table(path, TRACE_MAGIC)
-    if columns != ["iteration", "evaluated_db", "cumulative_db"]:
-        raise TraceIntegrityError(f"{path}: unexpected columns {columns}")
-    if data.shape[0] < 1:
-        raise TraceIntegrityError(f"{path}: empty trace")
+    header, data = _read_table(path, TRACE_MAGIC, TRACE_COLUMNS)
     iteration = data[:, 0].astype(np.int64)
     evaluated = data[:, 1]
     cumulative = data[:, 2]
@@ -364,13 +333,13 @@ def read_trace(path: PathLike) -> LoadedTrace:
 # configuration grids
 # --------------------------------------------------------------------------
 
+def config_rows(config: RisConfig) -> list[str]:
+    """One 0/1 string per surface row."""
+    return ["".join("1" if v else "0" for v in row) for row in config.states]
+
+
 def format_config_grid(config: RisConfig, header: Optional[Mapping[str, str]] = None) -> str:
-    out = [CONFIG_MAGIC]
-    if header:
-        out.extend(_header_lines(dict(header)))
-    for row in config.states:
-        out.append("".join("1" if v else "0" for v in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([CONFIG_MAGIC, *_header_lines(header or {}), *config_rows(config)]) + "\n"
 
 
 def write_config_grid(
@@ -407,7 +376,7 @@ def read_config_grid(path: PathLike) -> RisConfig:
 
 @dataclass(frozen=True)
 class LoadedCampaign:
-    spec: "object"  # ris_sic.experiment.CampaignSpec
+    spec: "CampaignSpec"
     spec_hash: str
     header: dict[str, str]
     mean_curve_db: np.ndarray
@@ -416,47 +385,31 @@ class LoadedCampaign:
 
 def write_campaign(result: "CampaignResult", path: PathLike) -> None:
     """Mean convergence curve plus enough metadata to re-run the campaign."""
-    spec = result.spec
-    meta: dict[str, str] = {
+    meta = {
         "created_utc": result.created_utc,
         "spec_hash": result.spec_hash,
-        "algorithm": spec.algorithm,
-        "runs": str(spec.runs),
-        "master_seed": str(spec.master_seed),
-        "horizon": str(spec.horizon),
-        "buffer_size": str(spec.buffer_size),
-        "stall_limit": str(spec.stall_limit),
+        **flatten_campaign_spec(result.spec),
+        "final_median_db": fmt_float(result.final_median_db),
+        "final_mean_db": fmt_float(result.final_mean_db),
+        "final_best_db": fmt_float(result.final_best_db),
+        "final_worst_db": fmt_float(result.final_worst_db),
+        "final_values_db": ";".join(fmt_float(v) for v in result.final_values),
     }
-    meta.update({f"scene.{k}": v for k, v in flatten_scene_params(spec.scene).items()})
-    meta["final_median_db"] = fmt_float(result.final_median_db)
-    meta["final_mean_db"] = fmt_float(result.final_mean_db)
-    meta["final_best_db"] = fmt_float(result.final_best_db)
-    meta["final_worst_db"] = fmt_float(result.final_worst_db)
-    meta["final_values_db"] = ";".join(fmt_float(v) for v in result.final_values)
-    out = [CAMPAIGN_MAGIC, *_header_lines(meta), "# columns: iteration,mean_cumulative_db"]
-    for i, value in enumerate(result.mean_curve, start=1):
-        out.append(f"{i},{fmt_float(value)}")
-    _atomic_write(path, "\n".join(out) + "\n")
+    rows = (f"{i},{fmt_float(value)}" for i, value in enumerate(result.mean_curve, start=1))
+    _write_table(path, CAMPAIGN_MAGIC, meta, CAMPAIGN_COLUMNS, rows)
 
 
 def read_campaign(path: PathLike) -> LoadedCampaign:
     from .experiment import CampaignSpec, campaign_spec_hash  # deferred: cycle
 
-    header, columns, data = _read_table(path, CAMPAIGN_MAGIC)
-    if columns != ["iteration", "mean_cumulative_db"]:
-        raise TraceIntegrityError(f"{path}: unexpected columns {columns}")
+    header, data = _read_table(path, CAMPAIGN_MAGIC, CAMPAIGN_COLUMNS)
     try:
         scene = scene_params_from_flat(
             {k[len("scene."):]: v for k, v in header.items() if k.startswith("scene.")}
         )
         spec = CampaignSpec(
             scene=scene,
-            algorithm=header["algorithm"],
-            runs=int(header["runs"]),
-            master_seed=int(header["master_seed"]),
-            horizon=int(header["horizon"]),
-            buffer_size=int(header["buffer_size"]),
-            stall_limit=int(header["stall_limit"]),
+            **{name: kind(header[name]) for name, kind in _keys(CampaignSpec).items()},
         )
     except (KeyError, ValueError) as exc:
         raise TraceIntegrityError(f"{path}: incomplete campaign header: {exc}") from exc
@@ -492,19 +445,13 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
 def write_sweep(
     rows: Sequence["SweepPoint"], path: PathLike, header: Optional[Mapping[str, str]] = None
 ) -> None:
-    meta = dict(header) if header else {}
-    out = [SWEEP_MAGIC, *_header_lines(meta)]
-    out.append(
-        "# columns: bandwidth_hz,points,runs,final_median_db,final_mean_db,"
-        "final_best_db,final_worst_db"
+    lines = (
+        f"{fmt_float(row.bandwidth_hz)},{row.points},{row.runs},"
+        f"{fmt_float(row.final_median_db)},{fmt_float(row.final_mean_db)},"
+        f"{fmt_float(row.final_best_db)},{fmt_float(row.final_worst_db)}"
+        for row in rows
     )
-    for row in rows:
-        out.append(
-            f"{fmt_float(row.bandwidth_hz)},{row.points},{row.runs},"
-            f"{fmt_float(row.final_median_db)},{fmt_float(row.final_mean_db)},"
-            f"{fmt_float(row.final_best_db)},{fmt_float(row.final_worst_db)}"
-        )
-    _atomic_write(path, "\n".join(out) + "\n")
+    _write_table(path, SWEEP_MAGIC, header, SWEEP_COLUMNS, lines)
 
 
 def write_snapshot(
@@ -513,15 +460,10 @@ def write_snapshot(
     path: PathLike,
     header: Optional[Mapping[str, str]] = None,
 ) -> None:
-    meta = dict(header) if header else {}
-    out = [SNAPSHOT_MAGIC, *_header_lines(meta), "# columns: frequency_hz,si_db"]
-    for f, v in zip(freqs_hz, si_db):
-        out.append(f"{fmt_float(f)},{fmt_float(v)}")
-    _atomic_write(path, "\n".join(out) + "\n")
+    rows = (f"{fmt_float(f)},{fmt_float(v)}" for f, v in zip(freqs_hz, si_db))
+    _write_table(path, SNAPSHOT_MAGIC, header, SNAPSHOT_COLUMNS, rows)
 
 
 def read_snapshot(path: PathLike) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
-    header, columns, data = _read_table(path, SNAPSHOT_MAGIC)
-    if columns != ["frequency_hz", "si_db"]:
-        raise TraceIntegrityError(f"{path}: unexpected columns {columns}")
+    header, data = _read_table(path, SNAPSHOT_MAGIC, SNAPSHOT_COLUMNS)
     return header, data[:, 0], data[:, 1]

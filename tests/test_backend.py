@@ -47,6 +47,11 @@ def test_noise_floor_leaves_loud_readings_alone():
     assert backend.evaluate(config) == SiReading.from_per_point(raw)
 
 
+def test_nan_noise_floor_rejected_at_construction():
+    with pytest.raises(ValueError, match="noise_floor_db must not be NaN"):
+        SimulatedBackend(synthetic_scene(2, 2), noise_floor_db=float("nan"))
+
+
 def test_protocol_conformance():
     scene = synthetic_scene(2, 2)
     assert isinstance(SimulatedBackend(scene), EvaluationBackend)

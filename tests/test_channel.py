@@ -182,6 +182,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(FC, 3 * FC, 5)
 
+    @pytest.mark.parametrize("center, bandwidth, points", [
+        (float("inf"), 0.0, 1), (float("nan"), 0.0, 1),
+        (FC, float("nan"), 11), (FC, float("inf"), 11),
+    ])
+    def test_non_finite_frequencies_rejected(self, center, bandwidth, points):
+        with pytest.raises(ValueError, match="must be (positive|non-negative) and finite"):
+            GridSpec(center, bandwidth, points)
+
 
 class TestTransferKernel:
     def test_matches_naive_loop(self):

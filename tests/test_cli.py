@@ -136,6 +136,13 @@ class TestOptimize:
         assert header["scene.grid.bandwidth_hz"] == sceneio.fmt_float(10e6)
         assert header["scene.grid.points"] == "5"
 
+    def test_nan_bandwidth_is_domain_error(self, small_scene_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = run_cli("optimize", "--scene", small_scene_file, "--bandwidth", "nan", "--out", out)
+        assert rc == 2
+        assert "bandwidth_hz must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRandom:
     def test_runs_fixed_budget(self, small_scene_file, tmp_path, capsys):
@@ -149,6 +156,14 @@ class TestRandom:
         assert loaded.evaluated_db.size == 80
         assert loaded.header["algorithm"] == "random"
         assert (tmp_path / "r.best.txt").exists()
+
+    def test_nan_noise_floor_is_domain_error(self, small_scene_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = run_cli("random", "--scene", small_scene_file, "--noise-floor", "nan",
+                     "--horizon", 10, "--out", out)
+        assert rc == 2
+        assert "noise_floor_db must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracle:

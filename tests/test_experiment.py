@@ -163,13 +163,16 @@ class TestRunCampaign:
         assert seen == [0, 1, 2]
 
     def test_result_validation(self, small_params):
+        # the mean curve and the final values derive from curves, so the
+        # shape of curves is all a result has to validate
         res = run_campaign(small_spec(small_params))
-        with pytest.raises(ValueError, match="mean"):
-            CampaignResult(
-                spec=res.spec, spec_hash=res.spec_hash, traces=res.traces,
-                curves=res.curves.copy(), mean_curve=res.mean_curve + 1.0,
-                final_values=res.final_values.copy(), created_utc=res.created_utc,
-            )
+        for curves in (res.curves[:, :-1], res.curves[:-1], res.curves[0]):
+            with pytest.raises(ValueError, match=r"curves must have shape \(3, 200\)"):
+                CampaignResult(
+                    spec=res.spec, spec_hash=res.spec_hash, traces=res.traces,
+                    curves=curves.copy(), created_utc=res.created_utc,
+                )
+        assert not res.curves.flags.writeable and not res.final_values.flags.writeable
 
 
 class TestBandwidthSweep:
@@ -214,6 +217,19 @@ class TestBandwidthSweep:
             bandwidth_sweep(small_params, [5e6, 5e6], runs=1)
         with pytest.raises(ValueError):
             bandwidth_sweep(small_params, [-1.0], runs=1)
+
+    @pytest.mark.parametrize("bandwidths", [
+        [0.0, -5e6], [0.0, float("nan")], [0.0, float("inf")], [0.0, 20e9],
+    ])
+    def test_bandwidths_validated_before_any_campaign(self, small_params, monkeypatch,
+                                                      bandwidths):
+        def fail(spec):
+            raise AssertionError("a campaign ran before the bandwidths were validated")
+
+        monkeypatch.setattr("ris_sic.experiment.run_campaign", fail)
+        with pytest.raises(ValueError):
+            bandwidth_sweep(small_params, bandwidths, points=5, runs=1, horizon=10,
+                            buffer_size=2, stall_limit=5)
 
 
 class TestTransferSnapshot:

@@ -1,13 +1,17 @@
 """File formats: scene documents, trace/campaign/snapshot tables, config grids."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ris_sic import sceneio
-from ris_sic.channel import ClutterParams, GridSpec, default_scene_params
-from ris_sic.experiment import CampaignSpec, run_campaign, transfer_snapshot
+from ris_sic.channel import ClutterParams, Geometry, GridSpec, default_scene_params
+from ris_sic.experiment import (
+    CampaignResult, CampaignSpec, SweepPoint, campaign_spec_hash, run_campaign,
+    transfer_snapshot,
+)
 from ris_sic.model import RisConfig, SiReading
 from ris_sic.search import ConvergenceTrace
 from ris_sic.sceneio import (
@@ -142,6 +146,13 @@ class TestSceneDocuments:
         text = format_scene(default_scene_params())
         text = "# a scene file\n" + text.replace("nx = 16", "nx = 16  # full width")
         assert parse_scene_text(text) == default_scene_params()
+
+    def test_non_finite_grid_frequency_rejected(self):
+        text = format_scene(default_scene_params()).replace(
+            "center_hz = 5385000000.0", "center_hz = inf"
+        )
+        with pytest.raises(SceneFormatError, match="center_hz must be positive and finite"):
+            parse_scene_text(text)
 
     def test_flatten_round_trip(self):
         p = default_scene_params()
@@ -285,6 +296,30 @@ class TestCampaignFiles:
 
 
 class TestSnapshotFiles:
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_snapshot(np.array([5.38e9, 5.39e9]), np.array([-40.0, -41.0]), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(TraceIntegrityError, match="no data rows"):
+            read_snapshot(path)
+
+    def test_ragged_row_rejected_with_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_snapshot(np.array([5.38e9, 5.39e9]), np.array([-40.0, -41.0]), path)
+        lines = path.read_text().splitlines()
+        lines[-1] += ",-42.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceIntegrityError, match=rf"s\.csv:{len(lines)}: row has 3 fields"):
+            read_snapshot(path)
+
+    def test_unexpected_columns_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_snapshot(np.array([5.38e9, 5.39e9]), np.array([-40.0, -41.0]), path)
+        path.write_text(path.read_text().replace("si_db", "si_dbm"))
+        with pytest.raises(TraceIntegrityError, match="unexpected columns"):
+            read_snapshot(path)
+
     def test_round_trip(self, tmp_path, wideband_scene):
         config = RisConfig.all_on(4, 4)
         freqs, si = transfer_snapshot(wideband_scene, config, 20e6, 41)
@@ -331,3 +366,100 @@ class TestAtomicity:
         write_trace(make_trace([-40.0, -42.0, -44.0]), path)
         assert path.read_text() != first
         assert read_trace(path).evaluated_db.size == 3
+
+
+# --------------------------------------------------------------------------
+# byte pins: every writer's output from synthetic inputs (no channel
+# arithmetic, so the bytes do not depend on numpy's SIMD target)
+# --------------------------------------------------------------------------
+
+CREATED_UTC = "2026-01-01T00:00:00+00:00"
+
+FILE_PINS = {
+    "campaign_greedy": "d2cc26b4fdffa66950097996f4eac120ff877b48db5e0a1c37e556b1dbd033a4",
+    "campaign_random": "05336f380ab0acc49ddfc051ece1f0cd108909930d7bdd0c1f99550597580efc",
+    "config_grid": "98fc1dbc4a460bb8425cfbadd9f9cc392eb552084f82eca44f578c00e0327b10",
+    "scene_custom": "92535339b9bb201066d6b0786693b8a0a00c4daf18b6606f274571499e893ae5",
+    "scene_default": "737420c65f317e2c81b1bbe1050647ba1e2b4bc40ff619b05deaa1d901e34cb2",
+    "snapshot": "33b9f378140520f10a016be757f95c4cf70b692a00f9f4fa50468c54e6926b8e",
+    "sweep": "780a9f324e5afdc9b55f8b90149bcf88169aabde1e66ad7a5ce70a50e4790bed",
+    "trace": "987c1359eab5e9cc2af203e2074479ec2f1ab00928611b395877b9d978fb52b7",
+}
+
+
+def pinned_scene():
+    # an int pitch must still be written as a float: keys format by schema type
+    return replace(
+        default_scene_params(),
+        geometry=Geometry(nx=4, ny=7, pitch_m=1, antenna_distance_m=0.504),
+        clutter=ClutterParams(relative_power_db=float("-inf"), taps=3, seed=9),
+        grid=GridSpec(5.385e9, 10e6, 11),
+    )
+
+
+def pinned_specs():
+    greedy = CampaignSpec(scene=pinned_scene(), algorithm="greedy", runs=3, master_seed=5,
+                          horizon=4, buffer_size=2, stall_limit=3)
+    random = CampaignSpec(scene=pinned_scene(), algorithm="random", runs=4,
+                          master_seed=11, horizon=5)
+    return greedy, random
+
+
+def pinned_result(spec, offset=0.0):
+    steps = np.arange(1, spec.horizon + 1, dtype=np.float64)
+    curves = np.asarray([-40.0 - offset - (r + 1) * 0.375 * np.minimum(steps, r + 2)
+                         for r in range(spec.runs)])
+    return CampaignResult(spec=spec, spec_hash=campaign_spec_hash(spec), traces=(),
+                          curves=curves, created_utc=CREATED_UTC)
+
+
+def write_pinned(name, path):
+    greedy, random = pinned_specs()
+    if name == "trace":
+        tr = make_trace([-40.0, -42.5, -41.0, -97.03125, float("-inf"), -50.0],
+                        buffer_size=2, stall_limit=3)
+        write_trace(tr, path, header={"seed": "7"})
+    elif name == "campaign_greedy":
+        write_campaign(pinned_result(greedy), path)
+    elif name == "campaign_random":
+        write_campaign(pinned_result(random), path)
+    elif name == "sweep":
+        nb = replace(greedy, scene=replace(greedy.scene, grid=GridSpec(5.385e9, 0.0, 1)))
+        wb = replace(greedy, scene=replace(greedy.scene, grid=GridSpec(5.385e9, 5e6, 5)))
+        rows = [SweepPoint(0.0, 1, pinned_result(nb)), SweepPoint(5e6, 5, pinned_result(wb, 1.5))]
+        write_sweep(rows, path, header={"seed": "5", "runs": "3"})
+    elif name == "snapshot":
+        freqs = 5.38e9 + 2.5e6 * np.arange(5)
+        si = np.array([-40.0, -55.25, float("-inf"), -61.0, -45.5])
+        write_snapshot(freqs, si, path, header={"span_hz": fmt_float(10e6)})
+    elif name == "scene_default":
+        write_scene(default_scene_params(), path)
+    elif name == "scene_custom":
+        write_scene(pinned_scene(), path)
+    elif name == "config_grid":
+        config = RisConfig((np.arange(24).reshape(4, 6) * 7) % 5 < 2)
+        write_config_grid(config, path, header={"si_db": "-88.5"})
+
+
+class TestBytePins:
+    @pytest.mark.parametrize("name", sorted(FILE_PINS))
+    def test_written_bytes(self, tmp_path, name):
+        path = tmp_path / name
+        write_pinned(name, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FILE_PINS[name]
+
+    def test_spec_hashes(self):
+        greedy, random = pinned_specs()
+        assert campaign_spec_hash(CampaignSpec(scene=default_scene_params())) == "38a6db122a4aefbd"
+        assert campaign_spec_hash(greedy) == "fc221c0b9e7eec46"
+        assert campaign_spec_hash(random) == "fdaec57cbbca8145"
+
+    def test_pinned_campaigns_read_back(self, tmp_path):
+        for spec in pinned_specs():
+            path = tmp_path / f"{spec.algorithm}.csv"
+            result = pinned_result(spec)
+            write_campaign(result, path)
+            loaded = read_campaign(path)
+            assert loaded.spec == spec and loaded.spec_hash == result.spec_hash
+            np.testing.assert_array_equal(loaded.mean_curve_db, result.mean_curve)
+            np.testing.assert_array_equal(loaded.final_values_db, result.final_values)
