@@ -43,9 +43,8 @@ from .model import FrequencyGrid, RisConfig
 from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
-PATH_TERMS_MEMO_SIZE = 4
 TAP_BLOCK = 1 << 16  # clutter phase terms alive at once in _tap_response (1 MiB)
-_PATH_TERMS_MEMO: dict = {}  # (id(h), id(g), id(gamma_on), id(gamma_off)) -> (operands, tables)
+_PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, t_on, t_off)
 
 
 # --------------------------------------------------------------------------
@@ -377,19 +376,17 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
 def _path_terms(h, g, gamma_on, gamma_off) -> tuple[np.ndarray, np.ndarray]:
     """Term tables ``(h * gamma_on * g, h * gamma_off * g)``, memoised as
     :func:`transfer_vector` describes."""
-    key = (id(h), id(g), id(gamma_on), id(gamma_off))
-    entry = _PATH_TERMS_MEMO.get(key)
-    if entry is not None:
-        return entry[1]
-    operands, tables = (h, g, gamma_on, gamma_off), (h * gamma_on * g, h * gamma_off * g)
+    global _PATH_TERMS_LAST
+    last_h, last_g, last_on, last_off, t_on, t_off = _PATH_TERMS_LAST
+    if h is last_h and g is last_g and gamma_on is last_on and gamma_off is last_off:
+        return t_on, t_off
+    t_on, t_off = h * gamma_on * g, h * gamma_off * g
     if all(isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
-           for a in operands):
-        for t in tables:
-            t.setflags(write=False)
-        if len(_PATH_TERMS_MEMO) >= PATH_TERMS_MEMO_SIZE:
-            _PATH_TERMS_MEMO.clear()
-        _PATH_TERMS_MEMO[key] = (operands, tables)
-    return tables
+           for a in (h, g, gamma_on, gamma_off)):
+        t_on.setflags(write=False)
+        t_off.setflags(write=False)
+        _PATH_TERMS_LAST = (h, g, gamma_on, gamma_off, t_on, t_off)
+    return t_on, t_off
 
 
 def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np.ndarray:
@@ -398,9 +395,10 @@ def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np
     Single canonical kernel: every SI evaluation in the package goes through
     this, so readings from different entry points agree bit-exactly.  Each
     element adds one term from the (N, K) tables ``h * gamma_on * g`` and
-    ``h * gamma_off * g``, memoised read-only (at most ``PATH_TERMS_MEMO_SIZE``)
-    under the ``id()`` of ``h``, ``g`` and both reflections when all four are
-    read-only arrays owning their data; an entry holds them, so no id is reused.
+    ``h * gamma_off * g``.  The last tables built from ``h``, ``g`` and both
+    reflections are kept read-only, with those four operands, when all four are
+    read-only arrays owning their data, and are reused when the next call passes
+    the very same four objects; so at most one scene's tables stay alive.
     The C-order selection and ``sum(axis=0)`` fix the bits (rows are added in
     sequence at K > 1, pairwise at K = 1); a transposed table or
     ``base + S @ (T_on - T_off)`` would not be bit-equal.

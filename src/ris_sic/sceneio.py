@@ -2,10 +2,10 @@
 
 Scene files are INI-style key/value documents with a fixed schema (see
 ``docs/scene_format.md``).  Result files are comma-separated tables prefixed
-by ``# key: value`` header lines; all floats are written with 17 significant
-digits so a write/read round trip reproduces every value bit-exactly.  Writes
-go through a temp file plus atomic rename, so readers never observe a partial
-file.
+by ``# key: value`` header lines; floats are written as ``repr``, so a
+write/read round trip reproduces every value bit-exactly.  Writes stream each
+line to a temp file that is then renamed atomically over the target, so
+readers never observe a partial file; numpy's reader parses the data rows.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import re
 import tempfile
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
@@ -170,7 +171,7 @@ def format_scene(params: SceneParams) -> str:
 
 
 def write_scene(params: SceneParams, path: PathLike) -> None:
-    _atomic_write(path, format_scene(params))
+    _atomic_write(path, [format_scene(params)])
 
 
 def flatten_scene_params(params: SceneParams, prefix: str = "") -> dict[str, str]:
@@ -201,12 +202,13 @@ def flatten_campaign_spec(spec: "CampaignSpec") -> dict[str, str]:
 # low-level table plumbing
 # --------------------------------------------------------------------------
 
-def _atomic_write(path: PathLike, text: str) -> None:
+def _atomic_write(path: PathLike, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` to a temp file beside ``path``, then rename it over ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -228,53 +230,68 @@ def _write_table(
     rows: Iterable[str],
 ) -> None:
     """Magic line, ``# key: value`` header lines, the columns line, then the rows."""
-    lines = [magic, *_header_lines(header or {}), "# columns: " + ",".join(columns), *rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = chain([magic], _header_lines(header or {}), ["# columns: " + ",".join(columns)], rows)
+    _atomic_write(path, (line + "\n" for line in lines))
 
 
 def _read_table(
     path: PathLike, magic: str, columns: Sequence[str]
 ) -> tuple[dict[str, str], np.ndarray]:
-    """Returns (header dict, data array of shape (rows, len(columns)))."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != magic:
-        raise TraceIntegrityError(
-            f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)"
-        )
-    header: dict[str, str] = {}
-    width, seen_columns = len(columns), False
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                if key.strip() == "columns":
-                    found = [c.strip() for c in value.split(",")]
-                    if found != list(columns):
-                        raise TraceIntegrityError(f"{path}: unexpected columns {found}")
-                    seen_columns = True
-                else:
-                    header[key.strip()] = value.strip()
-            continue
-        values = stripped.split(",")
-        if len(values) != width:
+    """Returns (header dict, data array of shape (rows, len(columns))).  Header
+    lines (blank or ``#``) end at the first data row; numpy parses the rest."""
+    path, width = Path(path), len(columns)
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != magic:
             raise TraceIntegrityError(
-                f"{path}:{lineno}: row has {len(values)} fields, expected {width}"
+                f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)"
             )
+        header: dict[str, str] = {}
+        lineno, seen_columns = 1, False
+        while True:
+            start, line = fh.tell(), fh.readline()
+            lineno += 1
+            stripped = line.strip()
+            if not line or (stripped and not stripped.startswith("#")):
+                break
+            key, colon, value = stripped.lstrip("#").strip().partition(":")
+            if colon and key.strip() == "columns":
+                found = [c.strip() for c in value.split(",")]
+                if found != list(columns):
+                    raise TraceIntegrityError(f"{path}: unexpected columns {found}")
+                seen_columns = True
+            elif colon:
+                header[key.strip()] = value.strip()
+        if not seen_columns:
+            raise TraceIntegrityError(f"{path}: missing '# columns:' line")
+        if not line:
+            raise TraceIntegrityError(f"{path}: no data rows")
+        fh.seek(start)
+        error: Optional[ValueError] = None
         try:
-            rows.append([float(v) for v in values])
+            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None,
+                              ndmin=2, encoding="utf-8")
+            if data.shape[1] == width:
+                return header, data
         except ValueError as exc:
-            raise TraceIntegrityError(f"{path}:{lineno}: bad data row: {stripped!r}") from exc
-    if not seen_columns:
-        raise TraceIntegrityError(f"{path}: missing '# columns:' line")
-    if not rows:
-        raise TraceIntegrityError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+            error = exc
+        # numpy refused the rows: name the first line a plain scan rejects
+        fh.seek(start)
+        for lineno, line in enumerate(fh, start=lineno):
+            values = line.rstrip("\n").split(",")
+            if values == [""]:
+                continue
+            if len(values) != width:
+                raise TraceIntegrityError(
+                    f"{path}:{lineno}: row has {len(values)} fields, expected {width}"
+                )
+            try:
+                [float(v) for v in values]
+            except ValueError as exc:
+                raise TraceIntegrityError(
+                    f"{path}:{lineno}: bad data row: {line.strip()!r}"
+                ) from exc
+    # float() also takes digit underscores and non-ASCII digits; numpy does not
+    raise TraceIntegrityError(f"{path}: bad data row: {error}") from error
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +362,7 @@ def format_config_grid(config: RisConfig, header: Optional[Mapping[str, str]] = 
 def write_config_grid(
     config: RisConfig, path: PathLike, header: Optional[Mapping[str, str]] = None
 ) -> None:
-    _atomic_write(path, format_config_grid(config, header))
+    _atomic_write(path, [format_config_grid(config, header)])
 
 
 def parse_config_grid(text: str, source: str = "<string>") -> RisConfig:
@@ -429,11 +446,29 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
     )
     if finals.size != spec.runs:
         raise TraceIntegrityError(f"{path}: {finals.size} final values for {spec.runs} runs")
+    # the statistics CampaignResult reports, from the same values in the same order
+    for key, stat in (("final_median_db", np.median), ("final_mean_db", np.mean),
+                      ("final_best_db", np.min), ("final_worst_db", np.max)):
+        expected = fmt_float(float(stat(finals)))
+        if header.get(key) != expected:
+            raise TraceIntegrityError(
+                f"{path}: {key} is {header.get(key)} but final_values_db give {expected}"
+            )
+    if not np.array_equal(data[:, 0], np.arange(1, spec.horizon + 1)):
+        raise TraceIntegrityError(f"{path}: iteration column must count 1..horizon")
+    # each run's curve is non-increasing and the runs are summed in a fixed
+    # order, so the mean can only fall (rounding is monotone); NaN fails too
+    curve = data[:, 1]
+    rises = np.flatnonzero(~(curve[1:] <= curve[:-1]))
+    if rises.size:
+        raise TraceIntegrityError(
+            f"{path}: mean curve rises at iteration {rises[0] + 2}; runs never get worse"
+        )
     return LoadedCampaign(
         spec=spec,
         spec_hash=recorded,
         header=header,
-        mean_curve_db=data[:, 1],
+        mean_curve_db=curve,
         final_values_db=finals,
     )
 

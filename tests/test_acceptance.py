@@ -25,7 +25,7 @@ from ris_sic.channel import (
 )
 from ris_sic.experiment import CampaignSpec, run_campaign
 from ris_sic.search import GreedyOptimizer, exhaustive_search, random_search
-from ris_sic.sceneio import write_campaign, write_trace
+from ris_sic.sceneio import VOLATILE_HEADER_KEYS, write_campaign, write_trace
 
 from fuzz_tools import fuzz_optimizer_run
 
@@ -308,7 +308,7 @@ def _stable_lines(path):
     return [
         ln
         for ln in path.read_text(encoding="utf-8").splitlines()
-        if not ln.startswith("# created_utc:")
+        if not ln.startswith(tuple(f"# {key}:" for key in VOLATILE_HEADER_KEYS))
     ]
 
 

@@ -1,8 +1,10 @@
 """Channel construction: geometry, calibration, clutter, and the transfer kernel."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -321,15 +323,21 @@ class TestTermTables:
         assert np.array_equal(before, transfer_vector(*kernel_args(scene), flat))
         assert np.array_equal(after, direct_formula(direct, h, g, cell, freqs, flat))
         assert not np.array_equal(before, after)
-        assert all(id(h) not in key for key in channel._PATH_TERMS_MEMO)
+        assert all(kept is not h for kept in channel._PATH_TERMS_LAST)
 
-    def test_memo_stays_within_its_cap(self):
-        for seed in range(channel.PATH_TERMS_MEMO_SIZE + 3):
-            scene = synthetic_scene(2, 2, points=3, seed=seed)
-            flat = np.array([True, False, False, True])
-            got = transfer_vector(*kernel_args(scene), flat)
-            assert np.array_equal(got, direct_formula(*kernel_args(scene), flat))
-            assert 1 <= len(channel._PATH_TERMS_MEMO) <= channel.PATH_TERMS_MEMO_SIZE
+    def test_memo_releases_the_previous_scene(self):
+        flat = np.array([True, False, False, True])
+        first = synthetic_scene(2, 2, points=3, seed=0)
+        assert np.array_equal(transfer_vector(*kernel_args(first), flat),
+                              direct_formula(*kernel_args(first), flat))
+        first_h = weakref.ref(first.h)
+        del first
+        second = synthetic_scene(2, 2, points=3, seed=1)
+        assert np.array_equal(transfer_vector(*kernel_args(second), flat),
+                              direct_formula(*kernel_args(second), flat))
+        gc.collect()
+        assert first_h() is None
+        assert channel._PATH_TERMS_LAST[0] is second.h
 
 
 def full_tensor_tap_response(gains, delays, freqs):

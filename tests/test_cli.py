@@ -110,7 +110,7 @@ class TestOptimize:
         def stripped(path):
             return [
                 ln for ln in path.read_text().splitlines()
-                if not ln.startswith("# created_utc:")
+                if not ln.startswith(tuple(f"# {key}:" for key in sceneio.VOLATILE_HEADER_KEYS))
             ]
 
         assert stripped(outs[0]) == stripped(outs[1])

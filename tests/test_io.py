@@ -1,6 +1,7 @@
 """File formats: scene documents, trace/campaign/snapshot tables, config grids."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,16 +165,22 @@ class TestSceneDocuments:
 
 class TestTraceFiles:
     def test_round_trip_bit_exact(self, tmp_path):
-        tr = make_trace([-40.0, -42.5, -41.0, -97.03125], buffer_size=2, stall_limit=2)
+        rng = np.random.default_rng(12)
+        spread = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 301, 4000)
+        hard = [np.inf, 5e-324, -5e-324, -0.0, 0.0, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, -np.inf]
+        tr = make_trace([-40.0, -42.5, -41.0, -97.03125, *spread, *hard],
+                        buffer_size=2, stall_limit=2)
         path = tmp_path / "t.csv"
         write_trace(tr, path, header={"seed": "7"})
         loaded = read_trace(path)
-        np.testing.assert_array_equal(loaded.evaluated_db, tr.evaluated)
-        np.testing.assert_array_equal(loaded.cumulative_db, tr.cumulative)
-        np.testing.assert_array_equal(loaded.iteration, [1, 2, 3, 4])
+        # bytes, not values: -0.0 must come back as -0.0
+        assert loaded.evaluated_db.tobytes() == tr.evaluated.tobytes()
+        assert loaded.cumulative_db.tobytes() == tr.cumulative.tobytes()
+        np.testing.assert_array_equal(loaded.iteration, np.arange(1, tr.evaluated.size + 1))
         assert loaded.header["algorithm"] == "greedy"
         assert loaded.header["seed"] == "7"
-        assert loaded.header["final_db"] == fmt_float(-97.03125)
+        assert loaded.header["final_db"] == "-inf"
 
     def test_round_trip_with_null_readings(self, tmp_path):
         tr = make_trace([-40.0, float("-inf"), -50.0])
@@ -213,6 +220,46 @@ class TestTraceFiles:
         write_trace(tr, path)
         path.write_text(path.read_text() + "3,oops,-42.0\n")
         with pytest.raises(TraceIntegrityError, match="bad data row"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,-41.0,-42.0,0.0", r"t\.csv:8: row has 4 fields, expected 3"),
+        ("3,-41.0,-42.0 # note", r"t\.csv:8: bad data row: '3,-41.0,-42.0 # note'"),
+        ("# seed: 8", r"t\.csv:8: row has 1 fields, expected 3"),
+        ("   ", r"t\.csv:8: row has 1 fields, expected 3"),
+        # Python's float() takes digit underscores, numpy's reader does not
+        ("3,1_0,-42.0", r"t\.csv: bad data row: could not convert string '1_0'"),
+    ])
+    def test_lines_after_the_first_row_are_data_rows(self, tmp_path, row, message):
+        tr = make_trace([-40.0, -42.0])
+        path = tmp_path / "t.csv"
+        write_trace(tr, path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(TraceIntegrityError, match=message):
+            read_trace(path)
+
+    def test_empty_lines_and_crlf_are_accepted(self, tmp_path):
+        tr = make_trace([-40.0, -42.0, -41.0])
+        path = tmp_path / "t.csv"
+        write_trace(tr, path)
+        path.write_bytes("\r\n\r\n".join(path.read_text().splitlines()).encode())
+        np.testing.assert_array_equal(read_trace(path).evaluated_db, tr.evaluated)
+
+    # numpy's reader strips any str.isspace() padding from a field; the old
+    # reader split lines at \v, \f, \x1c-\x1e and \u2028, and float() refuses \x1f
+    @pytest.mark.parametrize("pad", ["\x0b", "\x0c", "\x1c", "\x1f", "\u2028"])
+    def test_whitespace_around_a_field_is_accepted(self, tmp_path, pad):
+        tr = make_trace([-40.0, -42.0])
+        path = tmp_path / "t.csv"
+        write_trace(tr, path)
+        path.write_text(path.read_text().replace("2,-42.0,", f"2,-42.0{pad},"), encoding="utf-8")
+        np.testing.assert_array_equal(read_trace(path).evaluated_db, tr.evaluated)
+
+    def test_rows_of_one_wrong_width_rejected_with_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([-40.0, -42.0]), path)
+        path.write_text(path.read_text().replace("0,-4", "0,0,-4"))
+        with pytest.raises(TraceIntegrityError, match=r"t\.csv:6: row has 4 fields, expected 3"):
             read_trace(path)
 
     def test_wall_time_not_serialized(self, tmp_path):
@@ -284,6 +331,29 @@ class TestCampaignFiles:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-10]) + "\n")
         with pytest.raises(TraceIntegrityError, match="curve rows"):
+            read_campaign(path)
+
+    @pytest.mark.parametrize("edits, message", [
+        # a header statistic and a curve row changed by hand
+        ([("# final_median_db: -42.25", "# final_median_db: -99.0"),
+          ("\n2,-41.5\n", "\n2,-77.0\n")],
+         "final_median_db is -99.0 but final_values_db give -42.25"),
+        ([("# final_mean_db: -42.5", "# final_mean_db: -42.0")], "final_mean_db"),
+        ([("# final_best_db: -44.5", "# final_best_db: -45.0")], "final_best_db"),
+        ([("# final_worst_db: -40.75\n", "")], "final_worst_db is None"),
+        ([("\n2,-41.5\n", "\n2,-77.0\n")], "mean curve rises at iteration 3"),
+        ([("\n4,-42.5\n", "\n4,nan\n")], "mean curve rises at iteration 4"),
+        ([("\n3,-42.125\n", "\n5,-42.125\n")], r"iteration column must count 1\.\.horizon"),
+    ])
+    def test_edits_inconsistent_with_the_runs_detected(self, tmp_path, edits, message):
+        path = tmp_path / "c.csv"
+        write_campaign(pinned_result(pinned_specs()[0]), path)
+        text = path.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+        with pytest.raises(TraceIntegrityError, match=message):
             read_campaign(path)
 
     def test_missing_header_field_detected(self, tmp_path, result):
@@ -359,6 +429,24 @@ class TestAtomicity:
         write_trace(tr, tmp_path / "t.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
+    def test_failing_rows_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([-40.0, -42.0]), path)
+        before = path.read_bytes()
+
+        def rows():
+            for i in range(50_000):
+                yield f"{i + 1},-40.0,-40.0"
+            # rows stream to the temp file: it is on disk, with data, before the last row
+            (tmp,) = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+            assert tmp.stat().st_size > 0
+            raise OSError("source failed")
+
+        with pytest.raises(OSError, match="source failed"):
+            sceneio._write_table(path, sceneio.TRACE_MAGIC, {}, sceneio.TRACE_COLUMNS, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     def test_overwrites_in_place(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([-40.0, -42.0]), path)
@@ -366,6 +454,33 @@ class TestAtomicity:
         write_trace(make_trace([-40.0, -42.0, -44.0]), path)
         assert path.read_text() != first
         assert read_trace(path).evaluated_db.size == 3
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while ``fn`` runs)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Tables stream out and parse in without a Python object per value."""
+
+    ROWS = 200_000
+
+    def test_write_and_read_peaks(self, tmp_path):
+        ev = -40.0 - 60.0 * np.random.default_rng(4).random(self.ROWS)
+        trace = make_trace(ev)
+        path = tmp_path / "t.csv"
+        _, write_peak = traced_peak(lambda: write_trace(trace, path))
+        assert write_peak < 1 << 20
+        loaded, read_peak = traced_peak(lambda: read_trace(path))
+        returned = sum(a.nbytes for a in (loaded.iteration, loaded.evaluated_db,
+                                          loaded.cumulative_db))
+        assert read_peak < 2 * returned
+        assert loaded.evaluated_db.tobytes() == trace.evaluated.tobytes()
 
 
 # --------------------------------------------------------------------------
