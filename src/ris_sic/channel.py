@@ -33,7 +33,7 @@ before the blocks are cut, which keeps the channels bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -51,8 +51,21 @@ _PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, t_on, t_off
 # scene parameters (mirrors the scene-file sections, see ris_sic.sceneio)
 # --------------------------------------------------------------------------
 
+class _FiniteFloats:
+    """Rejects every float field that is not finite, bar ``-inf`` in ``NEG_INF_OK``."""
+
+    NEG_INF_OK = ()  # names of fields that may be -inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value) and not (
+                    value == -math.inf and f.name in self.NEG_INF_OK):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
-class Geometry:
+class Geometry(_FiniteFloats):
     nx: int = 16
     ny: int = 16
     pitch_m: float = C0_M_PER_S / (2.0 * DEFAULT_CENTER_HZ)
@@ -63,6 +76,7 @@ class Geometry:
     element_gain_dbi: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"surface dimensions must be >= 1, got {self.nx}x{self.ny}")
         if self.pitch_m <= 0.0:
@@ -76,7 +90,7 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class CellParams:
+class CellParams(_FiniteFloats):
     amplitude_on: float = 0.85
     amplitude_off: float = 0.92
     phase_target_deg: float = 180.0
@@ -84,19 +98,21 @@ class CellParams:
 
 
 @dataclass(frozen=True)
-class Calibration:
+class Calibration(_FiniteFloats):
     alpha_iso_db: float = 44.0
     p_tx_dbm: float = 10.0
 
 
 @dataclass(frozen=True)
-class ClutterParams:
+class ClutterParams(_FiniteFloats):
     relative_power_db: float = -14.0  # -inf disables clutter entirely
     delay_spread_s: float = 30e-9
     taps: int = 8
     seed: int = 101
+    NEG_INF_OK = ("relative_power_db",)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.taps < 1:
             raise ValueError(f"taps must be >= 1, got {self.taps}")
         if self.delay_spread_s < 0.0:

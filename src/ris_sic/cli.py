@@ -140,7 +140,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _load_params(args)
     bandwidths = args.bandwidth if args.bandwidth else [0.0, 5e6, 10e6]
-    rows = experiment.bandwidth_sweep(
+    results = experiment.bandwidth_sweep(
         params,
         bandwidths,
         points=args.points,
@@ -153,15 +153,16 @@ def _cmd_sweep(args) -> int:
     header = _scene_header(params, args.seed)
     header["runs"] = str(args.runs)
     out = Path(args.out)
-    sceneio.write_sweep(rows, out, header=header)
-    for row in rows:
-        label = "narrowband" if row.bandwidth_hz == 0.0 else f"{row.bandwidth_hz / 1e6:g} MHz"
-        best = _best_path(out, f".{row.bandwidth_hz / 1e6:.12g}mhz")
-        meta = {"bandwidth_hz": sceneio.fmt_float(row.bandwidth_hz),
-                "si_db": sceneio.fmt_float(row.final_best_db)}
-        sceneio.write_config_grid(row.result.best_config, best, header=meta)
-        print(f"{label}: median final {row.final_median_db:.2f} dB over {row.runs} runs, "
-              f"best configuration to {best}")
+    sceneio.write_sweep(results, out, header=header)
+    for result in results:
+        bw = result.spec.scene.grid.bandwidth_hz
+        label = "narrowband" if bw == 0.0 else f"{bw / 1e6:g} MHz"
+        best = _best_path(out, f".{bw / 1e6:.12g}mhz")
+        meta = {"bandwidth_hz": sceneio.fmt_float(bw),
+                "si_db": sceneio.fmt_float(result.final_best_db)}
+        sceneio.write_config_grid(result.best_config, best, header=meta)
+        print(f"{label}: median final {result.final_median_db:.2f} dB over {result.spec.runs} "
+              f"runs, best configuration to {best}")
     print(f"sweep table written to {out}")
     return 0
 

@@ -4,7 +4,8 @@ A campaign runs R independent searches on one frozen scene, each with its own
 child RNG stream spawned from a single master seed, and aggregates the
 per-evaluation convergence curves onto a common horizon.  Results carry a
 hash of the campaign parameters so a results file is always traceable to the
-exact inputs that produced it.
+exact inputs that produced it.  A bandwidth sweep returns one campaign result
+per bandwidth, each spec's grid naming its bandwidth and point count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,16 +87,18 @@ def extend_curve(cumulative: np.ndarray, horizon: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
     spec: CampaignSpec
-    spec_hash: str
     traces: tuple[ConvergenceTrace, ...]
-    curves: np.ndarray  # (runs, horizon)
     created_utc: str
+    spec_hash: str = field(init=False)
+    curves: np.ndarray = field(init=False)  # (runs, horizon)
 
     def __post_init__(self):
-        r, h = self.spec.runs, self.spec.horizon
-        if self.curves.shape != (r, h):
-            raise ValueError(f"curves must have shape ({r}, {h}), got {self.curves.shape}")
-        self.curves.setflags(write=False)
+        if len(self.traces) != self.spec.runs:
+            raise ValueError(f"{len(self.traces)} traces for {self.spec.runs} runs")
+        curves = np.stack([extend_curve(t.cumulative, self.spec.horizon) for t in self.traces])
+        curves.setflags(write=False)
+        object.__setattr__(self, "spec_hash", campaign_spec_hash(self.spec))
+        object.__setattr__(self, "curves", curves)
 
     @property
     def mean_curve(self) -> np.ndarray:
@@ -167,12 +169,9 @@ def run_campaign(
         traces.append(trace)
         if progress is not None:
             progress(r, trace)
-    curves = np.stack([extend_curve(t.cumulative, spec.horizon) for t in traces])
     return CampaignResult(
         spec=spec,
-        spec_hash=campaign_spec_hash(spec),
         traces=tuple(traces),
-        curves=curves,
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
@@ -181,25 +180,10 @@ def run_campaign(
 # bandwidth sweep
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Outcome of one bandwidth setting (one campaign); statistics read ``result``."""
-
-    bandwidth_hz: float
-    points: int
-    result: CampaignResult = field(repr=False, compare=False)
-
-    runs = property(attrgetter("result.spec.runs"))
-    final_median_db = property(attrgetter("result.final_median_db"))
-    final_mean_db = property(attrgetter("result.final_mean_db"))
-    final_best_db = property(attrgetter("result.final_best_db"))
-    final_worst_db = property(attrgetter("result.final_worst_db"))
-
-
 def bandwidth_sweep(
     scene: SceneParams, bandwidths_hz: Sequence[float], points: int = 11, **campaign
-) -> list[SweepPoint]:
-    """Greedy campaigns across objective bandwidths on otherwise equal scenes.
+) -> list[CampaignResult]:
+    """One greedy campaign per bandwidth, in request order, on otherwise equal scenes.
 
     Bandwidth 0 means the narrowband single-point objective; every other value
     uses ``points`` equidistant frequencies.  ``campaign`` sets the remaining
@@ -215,8 +199,7 @@ def bandwidth_sweep(
     grids = [GridSpec(scene.grid.center_hz, bw, 1 if bw == 0.0 else points) for bw in bandwidths]
     specs = [CampaignSpec(replace(scene, grid=grid), algorithm="greedy", **campaign)
              for grid in grids]
-    return [SweepPoint(grid.bandwidth_hz, grid.points, run_campaign(spec))
-            for grid, spec in zip(grids, specs)]
+    return [run_campaign(spec) for spec in specs]
 
 
 # --------------------------------------------------------------------------

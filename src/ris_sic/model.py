@@ -7,27 +7,10 @@ hashable where it makes sense, and validated on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-def _checked_per_point(values) -> tuple[np.ndarray, np.float64]:
-    """Frozen float64 copy of per-point readings and their max, checked in one pass."""
-    per = _frozen_array(values, np.float64)
-    if per.ndim != 1 or per.size < 1:
-        raise ValueError("per_point_db must be a non-empty 1-D array")
-    top = per.max()
-    if math.isnan(top):  # max propagates NaN: one reduction finds any of them
-        raise ValueError("per_point_db must not contain NaN")
-    return per, top
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,36 +150,29 @@ class FrequencyGrid:
 class SiReading:
     """One measured/simulated SI magnitude: max over the grid plus per-point detail.
 
-    ``magnitude_db`` is exactly ``max(per_point_db)``; a channel that is
-    identically zero yields the negative-infinity sentinel.
-
-    Validation costs one reduction: the max propagates NaN, so the single
-    ``per.max()`` both detects NaN and gives the value ``magnitude_db`` must
-    equal.  :meth:`from_per_point` takes the magnitude from that same max, so
-    the readings every search builds are checked in one pass.
+    Built from ``per_point_db`` alone: ``magnitude_db`` is computed as
+    ``max(per_point_db)``; a channel that is identically zero yields the
+    negative-infinity sentinel.  The max propagates NaN, so that one reduction
+    both gives the magnitude and rejects NaN.
     """
 
-    magnitude_db: float
     per_point_db: np.ndarray
+    magnitude_db: float = field(init=False)
 
     def __post_init__(self):
-        per, top = _checked_per_point(self.per_point_db)
-        if self.magnitude_db != top:
-            raise ValueError(
-                f"magnitude_db ({self.magnitude_db}) must equal max(per_point_db) "
-                f"({top})"
-            )
+        per = np.array(self.per_point_db, dtype=np.float64)
+        if per.ndim != 1 or per.size < 1:
+            raise ValueError("per_point_db must be a non-empty 1-D array")
+        top = float(per.max())
+        if math.isnan(top):
+            raise ValueError("per_point_db must not contain NaN")
+        per.setflags(write=False)
         object.__setattr__(self, "per_point_db", per)
+        object.__setattr__(self, "magnitude_db", top)
 
     @classmethod
     def from_per_point(cls, per_point_db: Iterable[float]) -> "SiReading":
-        per, top = _checked_per_point(per_point_db)
-        # magnitude_db is the max by construction, so __post_init__'s second
-        # reduction would only repeat this one.
-        reading = object.__new__(cls)
-        object.__setattr__(reading, "magnitude_db", float(top))
-        object.__setattr__(reading, "per_point_db", per)
-        return reading
+        return cls(per_point_db)
 
     @property
     def is_null(self) -> bool:

@@ -25,7 +25,7 @@ from .channel import SceneParams
 from .model import RisConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .experiment import CampaignResult, CampaignSpec, SweepPoint
+    from .experiment import CampaignResult, CampaignSpec
     from .search import ConvergenceTrace
 
 PathLike = Union[str, Path]
@@ -38,8 +38,10 @@ CONFIG_MAGIC = "# ris-sic config v1"
 
 TRACE_COLUMNS = ("iteration", "evaluated_db", "cumulative_db")
 CAMPAIGN_COLUMNS = ("iteration", "mean_cumulative_db")
-SWEEP_COLUMNS = ("bandwidth_hz", "points", "runs", "final_median_db", "final_mean_db",
-                 "final_best_db", "final_worst_db")
+# Statistics of a campaign's final values, as its header and its sweep row report them
+FINAL_STATS = {"final_median_db": np.median, "final_mean_db": np.mean,
+               "final_best_db": np.min, "final_worst_db": np.max}
+SWEEP_COLUMNS = ("bandwidth_hz", "points", "runs", *FINAL_STATS)
 SNAPSHOT_COLUMNS = ("frequency_hz", "si_db")
 
 # Keys whose values change between otherwise identical runs; byte-level
@@ -406,10 +408,7 @@ def write_campaign(result: "CampaignResult", path: PathLike) -> None:
         "created_utc": result.created_utc,
         "spec_hash": result.spec_hash,
         **flatten_campaign_spec(result.spec),
-        "final_median_db": fmt_float(result.final_median_db),
-        "final_mean_db": fmt_float(result.final_mean_db),
-        "final_best_db": fmt_float(result.final_best_db),
-        "final_worst_db": fmt_float(result.final_worst_db),
+        **{key: fmt_float(stat(result.final_values)) for key, stat in FINAL_STATS.items()},
         "final_values_db": ";".join(fmt_float(v) for v in result.final_values),
     }
     rows = (f"{i},{fmt_float(value)}" for i, value in enumerate(result.mean_curve, start=1))
@@ -447,8 +446,7 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
     if finals.size != spec.runs:
         raise TraceIntegrityError(f"{path}: {finals.size} final values for {spec.runs} runs")
     # the statistics CampaignResult reports, from the same values in the same order
-    for key, stat in (("final_median_db", np.median), ("final_mean_db", np.mean),
-                      ("final_best_db", np.min), ("final_worst_db", np.max)):
+    for key, stat in FINAL_STATS.items():
         expected = fmt_float(float(stat(finals)))
         if header.get(key) != expected:
             raise TraceIntegrityError(
@@ -478,13 +476,12 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
 # --------------------------------------------------------------------------
 
 def write_sweep(
-    rows: Sequence["SweepPoint"], path: PathLike, header: Optional[Mapping[str, str]] = None
+    results: Sequence["CampaignResult"], path: PathLike, header: Optional[Mapping[str, str]] = None
 ) -> None:
     lines = (
-        f"{fmt_float(row.bandwidth_hz)},{row.points},{row.runs},"
-        f"{fmt_float(row.final_median_db)},{fmt_float(row.final_mean_db)},"
-        f"{fmt_float(row.final_best_db)},{fmt_float(row.final_worst_db)}"
-        for row in rows
+        f"{fmt_float(r.spec.scene.grid.bandwidth_hz)},{r.spec.scene.grid.points},{r.spec.runs},"
+        + ",".join(fmt_float(stat(r.final_values)) for stat in FINAL_STATS.values())
+        for r in results
     )
     _write_table(path, SWEEP_MAGIC, header, SWEEP_COLUMNS, lines)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,40 +55,35 @@ class EvaluationError(RuntimeError):
 class ConvergenceTrace:
     """Per-evaluation history of one search run.
 
-    ``evaluated[i]`` is the reading of the i-th evaluated configuration and
-    ``cumulative[i]`` the best reading after i+1 evaluations; ``cumulative``
-    is exactly the running minimum of ``evaluated``.
+    ``evaluated[i]`` is the reading of the i-th evaluated configuration.  The
+    trace derives ``cumulative``, its running minimum (the best reading after
+    i+1 evaluations), and ``iterations_total``, its length.
     """
 
     algorithm: str
     evaluated: np.ndarray
-    cumulative: np.ndarray
     best_config: RisConfig
     best_reading: SiReading
-    iterations_total: int
     buffer_size: Optional[int] = None
     stall_limit: Optional[int] = None
     wall_time_s: float = 0.0
+    cumulative: np.ndarray = field(init=False)
+    iterations_total: int = field(init=False)
 
     def __post_init__(self):
         ev = np.array(self.evaluated, dtype=np.float64)
-        cu = np.array(self.cumulative, dtype=np.float64)
-        if ev.ndim != 1 or ev.size < 1 or cu.shape != ev.shape:
-            raise ValueError("evaluated/cumulative must be equal-length 1-D, non-empty")
-        if np.any(np.isnan(ev)):
+        if ev.ndim != 1 or ev.size < 1:
+            raise ValueError("evaluated must be a non-empty 1-D array")
+        cu = np.minimum.accumulate(ev)
+        if np.isnan(cu[-1]):  # np.minimum propagates NaN to every later entry
             raise ValueError("trace readings must not contain NaN")
-        if not np.array_equal(cu, np.minimum.accumulate(ev)):
-            raise ValueError("cumulative column is not the running minimum of evaluated")
-        if self.iterations_total != ev.size:
-            raise ValueError(
-                f"iterations_total ({self.iterations_total}) != trace length ({ev.size})"
-            )
         if self.best_reading.magnitude_db != cu[-1]:
             raise ValueError("best_reading does not match the final cumulative value")
         ev.setflags(write=False)
         cu.setflags(write=False)
         object.__setattr__(self, "evaluated", ev)
         object.__setattr__(self, "cumulative", cu)
+        object.__setattr__(self, "iterations_total", ev.size)
 
 
 class _Recorder:
@@ -127,14 +122,11 @@ class _Recorder:
         return value, improved
 
     def trace(self, algorithm: str, **fields) -> ConvergenceTrace:
-        evaluated = np.asarray(self._evaluated, dtype=np.float64)
         return ConvergenceTrace(
             algorithm=algorithm,
-            evaluated=evaluated,
-            cumulative=np.minimum.accumulate(evaluated),
+            evaluated=self._evaluated,
             best_config=self.best_config,
             best_reading=self.best_reading,
-            iterations_total=self.count,
             wall_time_s=time.perf_counter() - self._t0,
             **fields,
         )

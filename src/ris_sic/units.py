@@ -31,8 +31,3 @@ def linear_to_db(ratio: float) -> float:
         return NEG_INF_DB
     return 20.0 * math.log10(ratio)
 
-
-def wavelength_m(f_hz: float) -> float:
-    if f_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f_hz}")
-    return C0_M_PER_S / f_hz

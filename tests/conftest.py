@@ -1,5 +1,6 @@
 """Shared fixtures: small scenes that keep the suite fast."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,26 @@ def wideband_scene(wideband_params):
 def default_scene():
     """The full 16x16 narrowband scene the package ships as its default."""
     return build_scene(default_scene_params())
+
+
+# (key, value) edits of the default scene that must be rejected: every scene
+# value is finite, bar relative_power_db = -inf (clutter off)
+NON_FINITE_SCENE_EDITS = [
+    ("alpha_iso_db", "inf"), ("antenna_distance_m", "inf"), ("pitch_m", "inf"),
+    ("tx_gain_dbi", "inf"), ("relative_power_db", "inf"), ("delay_spread_s", "inf"),
+    ("p_tx_dbm", "inf"), ("element_gain_dbi", "-inf"), ("quality_factor", "inf"),
+    ("amplitude_on", "nan"),
+]
+
+
+def edited_scene_text(key, value):
+    """The shipped default scene document with one key's value replaced."""
+    from ris_sic.sceneio import format_scene
+
+    text = format_scene(default_scene_params())
+    edited = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    assert edited != text
+    return edited
 
 
 def synthetic_scene(nx, ny, points=5, seed=0):

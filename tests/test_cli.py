@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, created files, exit codes."""
 
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE_SCENE_EDITS, edited_scene_text
 from ris_sic import sceneio
 from ris_sic.channel import Geometry, GridSpec, default_scene_params
 from ris_sic.cli import main
@@ -53,6 +55,14 @@ class TestValidate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ris-sic: error:" in err
+
+    @pytest.mark.parametrize("key, value", NON_FINITE_SCENE_EDITS)
+    def test_non_finite_value_is_domain_error(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(edited_scene_text(key, value))
+        assert run_cli("validate", "--scene", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ris-sic: error:") and key in err
 
     def test_scene_flag_required(self, capsys):
         assert run_cli("validate") == 1
@@ -286,6 +296,14 @@ class TestSnapshot:
         rc = run_cli("snapshot", "--scene", small_scene_file, "--config", config_file,
                      "--out", tmp_path / "s.csv")
         assert rc == 2
+
+
+def test_readme_python_snippet_runs(capsys):
+    # the README's library example must keep working as public constructors change
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < -44.0
 
 
 def test_module_entry_point():

@@ -163,52 +163,60 @@ class TestRunCampaign:
         assert seen == [0, 1, 2]
 
     def test_result_validation(self, small_params):
-        # the mean curve and the final values derive from curves, so the
-        # shape of curves is all a result has to validate
+        # the hash and the curves derive from spec and traces, so one trace
+        # per run is all a result has to validate
         res = run_campaign(small_spec(small_params))
-        for curves in (res.curves[:, :-1], res.curves[:-1], res.curves[0]):
-            with pytest.raises(ValueError, match=r"curves must have shape \(3, 200\)"):
-                CampaignResult(
-                    spec=res.spec, spec_hash=res.spec_hash, traces=res.traces,
-                    curves=curves.copy(), created_utc=res.created_utc,
-                )
+        for traces in (res.traces[:-1], res.traces + res.traces[:1]):
+            with pytest.raises(ValueError, match=f"^{len(traces)} traces for 3 runs$"):
+                CampaignResult(spec=res.spec, traces=traces, created_utc=res.created_utc)
+        again = CampaignResult(spec=res.spec, traces=res.traces, created_utc=res.created_utc)
+        np.testing.assert_array_equal(again.curves, res.curves)
+        assert again.spec_hash == res.spec_hash
         assert not res.curves.flags.writeable and not res.final_values.flags.writeable
+
+    def test_derived_fields_are_not_arguments(self, small_params):
+        res = run_campaign(small_spec(small_params))
+        for extra in ({"spec_hash": res.spec_hash}, {"curves": res.curves}):
+            with pytest.raises(TypeError):
+                CampaignResult(spec=res.spec, traces=res.traces, created_utc="", **extra)
 
 
 class TestBandwidthSweep:
     def test_rows_follow_request_order(self, small_params):
-        rows = bandwidth_sweep(
+        results = bandwidth_sweep(
             small_params, [0.0, 5e6], points=5, runs=2,
             master_seed=3, horizon=120, buffer_size=8, stall_limit=25,
         )
-        assert [r.bandwidth_hz for r in rows] == [0.0, 5e6]
-        assert rows[0].points == 1
-        assert rows[1].points == 5
+        assert [r.spec.scene.grid.bandwidth_hz for r in results] == [0.0, 5e6]
+        assert results[0].spec.scene.grid.points == 1
+        assert results[1].spec.scene.grid.points == 5
 
     def test_zero_bandwidth_is_narrowband(self, small_params):
-        rows = bandwidth_sweep(
+        results = bandwidth_sweep(
             small_params, [0.0], runs=2, master_seed=3,
             horizon=100, buffer_size=8, stall_limit=20,
         )
-        assert rows[0].result.spec.scene.grid.points == 1
-        assert rows[0].result.spec.scene.grid.bandwidth_hz == 0.0
+        assert results[0].spec.scene.grid.points == 1
+        assert results[0].spec.scene.grid.bandwidth_hz == 0.0
 
     def test_stats_come_from_attached_result(self, small_params):
-        rows = bandwidth_sweep(
+        # each point is the campaign of its own spec, so its statistics are too
+        results = bandwidth_sweep(
             small_params, [0.0, 5e6], points=5, runs=2,
             master_seed=3, horizon=120, buffer_size=8, stall_limit=25,
         )
-        for row in rows:
-            assert row.final_median_db == row.result.final_median_db
-            assert row.final_best_db == row.result.final_best_db
-            assert row.runs == row.result.spec.runs
+        for result in results:
+            alone = run_campaign(result.spec)
+            np.testing.assert_array_equal(result.curves, alone.curves)
+            assert result.final_median_db == alone.final_median_db
+            assert result.spec.runs == 2
 
     def test_shared_master_seed(self, small_params):
-        rows = bandwidth_sweep(
+        results = bandwidth_sweep(
             small_params, [0.0, 5e6], points=5, runs=2,
             master_seed=9, horizon=100, buffer_size=8, stall_limit=20,
         )
-        assert all(r.result.spec.master_seed == 9 for r in rows)
+        assert all(r.spec.master_seed == 9 for r in results)
 
     def test_validation(self, small_params):
         with pytest.raises(ValueError):

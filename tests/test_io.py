@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE_SCENE_EDITS, edited_scene_text
 from ris_sic import sceneio
 from ris_sic.channel import ClutterParams, Geometry, GridSpec, default_scene_params
 from ris_sic.experiment import (
-    CampaignResult, CampaignSpec, SweepPoint, campaign_spec_hash, run_campaign,
+    CampaignResult, CampaignSpec, campaign_spec_hash, run_campaign,
     transfer_snapshot,
 )
 from ris_sic.model import RisConfig, SiReading
@@ -39,14 +40,11 @@ from ris_sic.sceneio import (
 
 def make_trace(values, algorithm="greedy", **kw):
     ev = np.asarray(values, dtype=np.float64)
-    cu = np.minimum.accumulate(ev)
     return ConvergenceTrace(
         algorithm=algorithm,
         evaluated=ev,
-        cumulative=cu,
         best_config=RisConfig.all_off(2, 2),
-        best_reading=SiReading.from_per_point([cu[-1]]),
-        iterations_total=ev.size,
+        best_reading=SiReading.from_per_point([np.min(ev)]),
         **kw,
     )
 
@@ -137,6 +135,16 @@ class TestSceneDocuments:
         )
         with pytest.raises(SceneFormatError, match="NaN"):
             parse_scene_text(text)
+
+    @pytest.mark.parametrize("key, value", NON_FINITE_SCENE_EDITS)
+    def test_non_finite_values_rejected(self, key, value):
+        message = "must not be NaN" if value == "nan" else f"must be finite, got {value}"
+        with pytest.raises(SceneFormatError, match=f"{key} {message}"):
+            parse_scene_text(edited_scene_text(key, value))
+
+    def test_clutter_off_is_the_one_infinite_value(self):
+        params = parse_scene_text(edited_scene_text("relative_power_db", "-inf"))
+        assert not params.clutter.enabled
 
     def test_semantic_errors_surface_as_format_errors(self):
         text = format_scene(default_scene_params()).replace("nx = 16", "nx = 0")
@@ -405,12 +413,12 @@ class TestSweepFiles:
     def test_written_form(self, tmp_path, small_params):
         from ris_sic.experiment import bandwidth_sweep
 
-        rows = bandwidth_sweep(
+        results = bandwidth_sweep(
             small_params, [0.0, 5e6], points=5, runs=2,
             master_seed=3, horizon=100, buffer_size=8, stall_limit=20,
         )
         path = tmp_path / "sweep.csv"
-        write_sweep(rows, path, header={"scene": "small"})
+        write_sweep(results, path, header={"scene": "small"})
         text = path.read_text()
         assert text.startswith(sceneio.SWEEP_MAGIC)
         data_rows = [
@@ -420,7 +428,7 @@ class TestSweepFiles:
         first = data_rows[0].split(",")
         assert float(first[0]) == 0.0
         assert int(first[1]) == 1
-        assert float(first[3]) == rows[0].final_median_db
+        assert float(first[3]) == results[0].final_median_db
 
 
 class TestAtomicity:
@@ -521,11 +529,12 @@ def pinned_specs():
 
 
 def pinned_result(spec, offset=0.0):
+    # run r falls by (r + 1) * 0.375 dB a step for r + 2 steps, then stays put;
+    # the readings never rise, so each is its own running minimum
     steps = np.arange(1, spec.horizon + 1, dtype=np.float64)
-    curves = np.asarray([-40.0 - offset - (r + 1) * 0.375 * np.minimum(steps, r + 2)
-                         for r in range(spec.runs)])
-    return CampaignResult(spec=spec, spec_hash=campaign_spec_hash(spec), traces=(),
-                          curves=curves, created_utc=CREATED_UTC)
+    traces = tuple(make_trace(-40.0 - offset - (r + 1) * 0.375 * np.minimum(steps, r + 2))
+                   for r in range(spec.runs))
+    return CampaignResult(spec=spec, traces=traces, created_utc=CREATED_UTC)
 
 
 def write_pinned(name, path):
@@ -541,8 +550,8 @@ def write_pinned(name, path):
     elif name == "sweep":
         nb = replace(greedy, scene=replace(greedy.scene, grid=GridSpec(5.385e9, 0.0, 1)))
         wb = replace(greedy, scene=replace(greedy.scene, grid=GridSpec(5.385e9, 5e6, 5)))
-        rows = [SweepPoint(0.0, 1, pinned_result(nb)), SweepPoint(5e6, 5, pinned_result(wb, 1.5))]
-        write_sweep(rows, path, header={"seed": "5", "runs": "3"})
+        write_sweep([pinned_result(nb), pinned_result(wb, 1.5)], path,
+                    header={"seed": "5", "runs": "3"})
     elif name == "snapshot":
         freqs = 5.38e9 + 2.5e6 * np.arange(5)
         si = np.array([-40.0, -55.25, float("-inf"), -61.0, -45.5])

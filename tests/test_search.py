@@ -490,37 +490,46 @@ def test_every_search_reports_the_failing_evaluation(search):
 
 class TestConvergenceTrace:
     def _ok_kwargs(self):
-        ev = np.array([-40.0, -42.0, -41.0, -45.0])
         return dict(
             algorithm="greedy",
-            evaluated=ev,
-            cumulative=np.minimum.accumulate(ev),
+            evaluated=np.array([-40.0, -42.0, -41.0, -45.0]),
             best_config=RisConfig.all_off(2, 2),
             best_reading=SiReading.from_per_point([-45.0]),
-            iterations_total=4,
         )
 
     def test_valid_roundtrip(self):
         tr = ConvergenceTrace(**self._ok_kwargs())
-        assert tr.cumulative[-1] == -45.0
+        np.testing.assert_array_equal(tr.cumulative, [-40.0, -42.0, -42.0, -45.0])
+        assert tr.iterations_total == 4
 
     def test_rejects_tampered_cumulative(self):
+        # the running minimum is derived, so a tampered one cannot be passed in
         kw = self._ok_kwargs()
         kw["cumulative"] = np.array([-40.0, -42.0, -42.0, -44.0])
-        with pytest.raises(ValueError, match="running minimum"):
+        with pytest.raises(TypeError):
             ConvergenceTrace(**kw)
 
     def test_rejects_nan(self):
         kw = self._ok_kwargs()
         kw["evaluated"] = np.array([-40.0, np.nan, -41.0, -45.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must not contain NaN"):
             ConvergenceTrace(**kw)
 
     def test_rejects_length_mismatch(self):
+        # the count is derived, so a mismatched one cannot be passed in
         kw = self._ok_kwargs()
         kw["iterations_total"] = 7
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ConvergenceTrace(**kw)
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    def test_derived_fields(self, values):
+        ev = np.array(values, dtype=np.float64)
+        best = SiReading.from_per_point([np.minimum.accumulate(ev)[-1]])
+        tr = ConvergenceTrace("random", ev, RisConfig.all_off(1, 1), best)
+        np.testing.assert_array_equal(tr.cumulative, np.minimum.accumulate(ev))
+        assert tr.iterations_total == len(values)
+        assert not tr.cumulative.flags.writeable
 
     def test_rejects_best_mismatch(self):
         kw = self._ok_kwargs()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ris_sic.units import C0_M_PER_S, NEG_INF_DB, db_to_linear, linear_to_db, wavelength_m
+from ris_sic.units import C0_M_PER_S, NEG_INF_DB, db_to_linear, linear_to_db
 
 
 def test_speed_of_light_exact():
@@ -44,16 +44,3 @@ def test_db_round_trip_scalar(db):
 def test_linear_round_trip(amp):
     assert db_to_linear(linear_to_db(amp)) == pytest.approx(amp, rel=1e-12)
 
-
-def test_wavelength_known_value():
-    # c0 / 5.385 GHz, half of which is the default element pitch
-    lam = wavelength_m(5.385e9)
-    assert lam == pytest.approx(0.055671765645311049, rel=1e-15)
-    assert lam / 2 == pytest.approx(0.027835882822655524605, rel=1e-15)
-
-
-def test_wavelength_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        wavelength_m(0.0)
-    with pytest.raises(ValueError):
-        wavelength_m(-1.0)
