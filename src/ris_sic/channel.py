@@ -27,7 +27,9 @@ frequency this is complex Gaussian clutter; across frequency it decorrelates
 on the physical coherence-bandwidth scale set by the delay spread.  Taps are
 evaluated in blocks of paths of at most ``TAP_BLOCK`` phase terms, so memory
 does not grow with taps x points; ``-2j*pi*delay`` is formed over all paths
-before the blocks are cut, which keeps the channels bit-exact.
+before the blocks are cut, which keeps the channels bit-exact.  Channels and
+snapshots are built in blocks of frequency points, at most ``FREQ_BLOCK`` (N, K)
+terms (32 points at 16x16) but never one lone point; see :func:`freq_blocks`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
 TAP_BLOCK = 1 << 16  # clutter phase terms alive at once in _tap_response (1 MiB)
+FREQ_BLOCK = 1 << 13  # (N, K) channel terms alive at once in channels_at and snapshots
 _PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, t_on, t_off)
 
 
@@ -206,6 +209,14 @@ def _tap_response(gains: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> n
     return out.reshape(delays.shape[:-1] + (freqs.size,))
 
 
+def freq_blocks(n: int, k: int) -> list[slice]:
+    """Slices of ``range(k)`` of ``FREQ_BLOCK // n`` points (at least 2); a lone last
+    point, whose rows would be summed pairwise, not in sequence, joins the block before."""
+    step = max(2, FREQ_BLOCK // n)
+    stops = [*range(step, k - 1, step), k]
+    return [slice(a, b) for a, b in zip([0, *stops], stops)]
+
+
 @dataclass(frozen=True)
 class _ChannelModel:
     """Deterministic generator for the channel at arbitrary frequencies."""
@@ -247,11 +258,17 @@ class _ChannelModel:
         return coeff
 
     def channels_at(self, freqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(direct, h, g) sampled at the given frequencies."""
+        """(direct, h, g) sampled at the given frequencies, one block at a time."""
         freqs = np.asarray(freqs, dtype=np.float64)
-        direct = self.direct_at(freqs)
-        h = self._hop(self.d_tx_m, freqs, self.tx_gain_dbi, self.h_tap_gain, self.h_tap_delay)
-        g = self._hop(self.d_rx_m, freqs, self.rx_gain_dbi, self.g_tap_gain, self.g_tap_delay)
+        direct = np.empty(freqs.size, dtype=np.complex128)
+        h = np.empty((self.d_tx_m.size, freqs.size), dtype=np.complex128)
+        g = np.empty_like(h)
+        for b in freq_blocks(h.shape[0], freqs.size):
+            direct[b] = self.direct_at(freqs[b])
+            h[:, b] = self._hop(self.d_tx_m, freqs[b], self.tx_gain_dbi,
+                                self.h_tap_gain, self.h_tap_delay)
+            g[:, b] = self._hop(self.d_rx_m, freqs[b], self.rx_gain_dbi,
+                                self.g_tap_gain, self.g_tap_delay)
         return direct, h, g
 
 
@@ -275,7 +292,6 @@ class Scene:
     cell: UnitCellModel
     nx: int
     ny: int
-    params: Optional[SceneParams] = None
     channel_model: Optional[_ChannelModel] = None
 
     def __post_init__(self):
@@ -373,10 +389,8 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
     model = replace(model, direct_scale=db_to_linear(-cal.alpha_iso_db) / abs(uncal))
 
     direct, h, g = model.channels_at(grid.points)
-    scene = Scene(
-        grid=grid, direct=direct, h=h, g=g, cell=cell,
-        nx=geo.nx, ny=geo.ny, params=params, channel_model=model,
-    )
+    scene = Scene(grid=grid, direct=direct, h=h, g=g, cell=cell,
+                  nx=geo.nx, ny=geo.ny, channel_model=model)
     achieved = 20.0 * math.log10(abs(model.direct_at(np.array([gridspec.center_hz]))[0]))
     if abs(achieved + cal.alpha_iso_db) > 0.1:
         raise RuntimeError(

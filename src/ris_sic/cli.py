@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -29,10 +28,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _now_utc() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _load_params(args) -> SceneParams:
@@ -57,7 +52,7 @@ def _apply_grid_flags(params: SceneParams, args) -> SceneParams:
 
 
 def _scene_header(params: SceneParams, seed: Optional[int] = None) -> dict[str, str]:
-    meta = {"created_utc": _now_utc()}
+    meta = {"created_utc": sceneio.now_utc()}
     if seed is not None:
         meta["seed"] = str(seed)
     meta.update(sceneio.flatten_scene_params(params, "scene."))

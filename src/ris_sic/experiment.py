@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .backend import SimulatedBackend
 from .channel import (
-    GridSpec, Scene, SceneParams, _amplitude_db, _check_dims, build_scene,
+    GridSpec, Scene, SceneParams, _amplitude_db, _check_dims, build_scene, freq_blocks,
     transfer_vector,
 )
 from .model import RisConfig
 from .search import ConvergenceTrace, greedy_optimize, random_search
-from .sceneio import flatten_campaign_spec
+from .sceneio import FINAL_STATS, flatten_campaign_spec, now_utc
 
 ALGORITHMS = ("greedy", "random")
 
@@ -84,6 +83,10 @@ def extend_curve(cumulative: np.ndarray, horizon: int) -> np.ndarray:
     return out
 
 
+def _final_stat(key: str) -> property:  # a final-value statistic, as the files report it
+    return property(lambda self: float(FINAL_STATS[key](self.final_values)))
+
+
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
     spec: CampaignSpec
@@ -110,21 +113,10 @@ class CampaignResult:
         """Each run's horizon-limited final value, shape (runs,); read-only."""
         return self.curves[:, -1]
 
-    @property
-    def final_median_db(self) -> float:
-        return float(np.median(self.final_values))
-
-    @property
-    def final_mean_db(self) -> float:
-        return float(np.mean(self.final_values))
-
-    @property
-    def final_best_db(self) -> float:
-        return float(np.min(self.final_values))
-
-    @property
-    def final_worst_db(self) -> float:
-        return float(np.max(self.final_values))
+    final_median_db = _final_stat("final_median_db")
+    final_mean_db = _final_stat("final_mean_db")
+    final_best_db = _final_stat("final_best_db")
+    final_worst_db = _final_stat("final_worst_db")
 
     @property
     def best_run_index(self) -> int:
@@ -172,7 +164,7 @@ def run_campaign(
     return CampaignResult(
         spec=spec,
         traces=tuple(traces),
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        created_utc=now_utc(),
     )
 
 
@@ -214,18 +206,18 @@ def transfer_snapshot(
     The axis is built exactly like a wideband evaluation grid, so when
     ``span_hz``/``points`` equal the scene grid's span and size the sampled
     frequencies — and therefore the dB values — coincide bit-exactly with the
-    per-point readings of :func:`ris_sic.channel.si_per_point_db`.
+    per-point readings of :func:`ris_sic.channel.si_per_point_db`.  The axis is
+    scored in the frequency blocks of :func:`ris_sic.channel.freq_blocks`.
     """
     if points < 2:
         raise ValueError(f"snapshot needs >= 2 points, got {points}")
     if not 0.0 < span_hz < 2.0 * scene.grid.center_hz:
         raise ValueError(f"span {span_hz} Hz is not inside the positive-frequency span")
     _check_dims(scene, config)
-    freqs = np.linspace(
-        scene.grid.center_hz - span_hz / 2.0,
-        scene.grid.center_hz + span_hz / 2.0,
-        points,
-    )
-    direct, h, g = scene.channels_at(freqs)
-    full = transfer_vector(direct, h, g, scene.cell, freqs, config.flat())
-    return freqs, _amplitude_db(full)
+    center = scene.grid.center_hz
+    freqs = np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)
+    flat, si_db = config.flat(), np.empty(points)
+    for b in freq_blocks(scene.n_elements, points):  # memory: one block plus the output
+        direct, h, g = scene.channels_at(freqs[b])
+        si_db[b] = _amplitude_db(transfer_vector(direct, h, g, scene.cell, freqs[b], flat))
+    return freqs, si_db

@@ -15,6 +15,7 @@ import os
 import re
 import tempfile
 from dataclasses import MISSING, dataclass, fields
+from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
@@ -47,6 +48,11 @@ SNAPSHOT_COLUMNS = ("frequency_hz", "si_db")
 # Keys whose values change between otherwise identical runs; byte-level
 # reproducibility comparisons should ignore lines carrying these.
 VOLATILE_HEADER_KEYS = ("created_utc",)
+
+
+def now_utc() -> str:
+    """The ``created_utc`` stamp: the current UTC time to the second, ISO 8601."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 class SceneFormatError(ValueError):
@@ -120,37 +126,28 @@ def parse_scene_text(text: str, source: str = "<string>") -> SceneParams:
                     f"{_where(section, key)}: unknown key '{key}' in [{section}]"
                 )
 
-    values: dict[str, dict[str, object]] = {}
-    for section, (_, keys) in _SCENE_SECTIONS.items():
+    built = {}
+    for section, (cls, keys) in _SCENE_SECTIONS.items():
         if section not in parser:
             raise SceneFormatError(f"{source}: missing section [{section}]")
-        values[section] = {}
+        values = {}
         for key, kind in keys.items():
             if key not in parser[section]:
                 raise SceneFormatError(f"{source}: missing key '{key}' in [{section}]")
             raw = parser[section][key].strip()
             try:
-                value = kind(raw)
+                values[key] = kind(raw)
             except ValueError as exc:
                 raise SceneFormatError(
                     f"{_where(section, key)}: '{raw}' is not a valid "
                     f"{kind.__name__} for {section}.{key}"
                 ) from exc
-            if kind is float and value != value:  # NaN
-                raise SceneFormatError(
-                    f"{_where(section, key)}: {section}.{key} must not be NaN"
-                )
-            values[section][key] = value
-
-    try:
-        return _scene_from_sections(values)
-    except ValueError as exc:
-        raise SceneFormatError(f"{source}: {exc}") from exc
-
-
-def _scene_from_sections(values: Mapping[str, Mapping[str, object]]) -> SceneParams:
-    return SceneParams(**{name: kind(**values[name])
-                          for name, (kind, _) in _SCENE_SECTIONS.items()})
+        try:
+            built[section] = cls(**values)
+        except ValueError as exc:  # at the line of the key it names, else the section's
+            key = next((k for k in keys if re.search(rf"\b{k}\b", str(exc))), "")
+            raise SceneFormatError(f"{_where(section, key)}: {exc}") from exc
+    return SceneParams(**built)
 
 
 def _format_value(kind: type, value) -> str:
@@ -189,7 +186,7 @@ def scene_params_from_flat(flat: Mapping[str, str]) -> SceneParams:
                   for section, (_, keys) in _SCENE_SECTIONS.items()}
     except KeyError as exc:
         raise SceneFormatError(f"missing scene entry {exc}") from exc
-    return _scene_from_sections(values)
+    return SceneParams(**{name: cls(**values[name]) for name, (cls, _) in _SCENE_SECTIONS.items()})
 
 
 def flatten_campaign_spec(spec: "CampaignSpec") -> dict[str, str]:

@@ -452,6 +452,85 @@ class TestChannelPins:
         assert tuple(_sha256(a) for a in arrays) == pins[case]
 
 
+BLOCK_SCENES = {
+    "16x16": {},
+    "3x5": {"nx": 3, "ny": 5, "grid": GridSpec(FC, 10e6, 11)},
+    "7x9": {"nx": 7, "ny": 9},
+}
+
+
+def block_scene(name):
+    p = default_scene_params()
+    kw = dict(BLOCK_SCENES[name])
+    grid = kw.pop("grid", p.grid)
+    return build_scene(replace(p, geometry=replace(p.geometry, **kw), grid=grid))
+
+
+class TestFrequencyBlocks:
+    """Channels and snapshots built block by block against one unblocked pass."""
+
+    @pytest.mark.parametrize("n, k, sizes", [
+        (256, 1, [1]), (256, 2, [2]), (256, 32, [32]), (256, 33, [33]), (256, 34, [32, 2]),
+        (256, 97, [32, 32, 33]), (256, 201, [32] * 6 + [9]), (15, 11, [11]),
+        (1 << 20, 5, [2, 3]),
+    ])
+    def test_block_sizes(self, n, k, sizes):
+        blocks = channel.freq_blocks(n, k)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+
+    @pytest.mark.parametrize("points", [2, 33, 201, 2001, 4097])
+    @pytest.mark.parametrize("name", sorted(BLOCK_SCENES))
+    def test_blocks_equal_unblocked(self, monkeypatch, name, points):
+        from ris_sic.experiment import transfer_snapshot
+
+        scene = block_scene(name)
+        config = RisConfig(np.random.default_rng(points).random((scene.nx, scene.ny)) < 0.5)
+        freqs = np.linspace(FC - 10e6, FC + 10e6, points)
+
+        def outputs():
+            # the snapshot's H, before dB rounding hides a changed summation order
+            h_per_block = [transfer_vector(*scene.channels_at(freqs[b]), scene.cell, freqs[b],
+                                           config.flat())
+                           for b in channel.freq_blocks(scene.n_elements, points)]
+            return (*scene.channels_at(freqs), np.concatenate(h_per_block),
+                    *transfer_snapshot(scene, config, 20e6, points))
+
+        blocked = outputs()
+        monkeypatch.setattr(channel, "FREQ_BLOCK", 1 << 62)  # one block: the unblocked formula
+        assert len(channel.freq_blocks(scene.n_elements, points)) == 1
+        whole = outputs()
+        for got, want in zip(blocked, whole, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points", [2001, 20001])
+    def test_snapshot_peak_memory_is_one_block(self, points):
+        # the output plus one 32-point block, not (N, K) temporaries
+        from ris_sic.experiment import transfer_snapshot
+
+        scene = build_scene(default_scene_params())
+        config = RisConfig(np.random.default_rng(3).random((16, 16)) < 0.5)
+        tracemalloc.start()
+        try:
+            transfer_snapshot(scene, config, 20e6, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_channels_peak_memory_is_near_the_output(self):
+        scene = build_scene(default_scene_params())
+        freqs = np.linspace(FC - 10e6, FC + 10e6, 2001)
+        tracemalloc.start()
+        try:
+            out = scene.channels_at(freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(a.nbytes for a in out)
+
+
 class TestSceneObject:
     def test_arrays_frozen(self, small_scene):
         with pytest.raises(ValueError):

@@ -133,14 +133,30 @@ class TestSceneDocuments:
         text = format_scene(default_scene_params()).replace(
             "alpha_iso_db = 44.0", "alpha_iso_db = nan"
         )
-        with pytest.raises(SceneFormatError, match="NaN"):
+        with pytest.raises(SceneFormatError, match="alpha_iso_db must be finite, got nan"):
             parse_scene_text(text)
 
     @pytest.mark.parametrize("key, value", NON_FINITE_SCENE_EDITS)
     def test_non_finite_values_rejected(self, key, value):
-        message = "must not be NaN" if value == "nan" else f"must be finite, got {value}"
-        with pytest.raises(SceneFormatError, match=f"{key} {message}"):
-            parse_scene_text(edited_scene_text(key, value))
+        # NaN and infinities alike, each at the line of its key
+        text = edited_scene_text(key, value)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(SceneFormatError,
+                           match=rf"^doc\.ini:{lineno}: {key} must be finite, got {value}$"):
+            parse_scene_text(text, source="doc.ini")
+
+    @pytest.mark.parametrize("edit, where", [
+        (("antenna_separation_m = 0.025", "antenna_separation_m = -1.0"), "antenna_separation_m"),
+        (("nx = 16", "nx = 0"), "[geometry]"),
+        (("points = 1", "points = 3"), "[grid]"),
+    ])
+    def test_section_errors_name_their_line(self, edit, where):
+        # a message naming a key points at its line, any other at the section's
+        text = format_scene(default_scene_params()).replace(*edit)
+        lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
+                      if line.startswith(where))
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: "):
+            parse_scene_text(text, source="doc.ini")
 
     def test_clutter_off_is_the_one_infinite_value(self):
         params = parse_scene_text(edited_scene_text("relative_power_db", "-inf"))
