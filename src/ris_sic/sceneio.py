@@ -1,7 +1,8 @@
 """File formats: scene descriptions, traces, campaigns, sweeps, snapshots.
 
 Scene files are INI-style key/value documents with a fixed schema (see
-``docs/scene_format.md``).  Result files are comma-separated tables prefixed
+``docs/scene_format.md``); they are read line by line in one pass, so every
+error about a line names its number.  Result files are comma-separated tables prefixed
 by ``# key: value`` header lines; floats are written as ``repr``, so a
 write/read round trip reproduces every value bit-exactly.  Writes stream each
 line to a temp file that is then renamed atomically over the target, so
@@ -10,7 +11,6 @@ readers never observe a partial file; numpy's reader parses the data rows.
 
 from __future__ import annotations
 
-import configparser
 import os
 import re
 import tempfile
@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,73 +81,75 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def _key_line_numbers(text: str) -> dict[tuple[str, str], int]:
-    """Best-effort map from (section, key) to 1-based line number."""
-    numbers: dict[tuple[str, str], int] = {}
-    section = ""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        m = re.match(r"\[(.+)\]\s*$", stripped)
-        if m:
-            section = m.group(1).strip()
-            numbers[(section, "")] = lineno
-            continue
-        m = re.match(r"([^=:#;\s][^=:]*?)\s*[=:]", stripped)
-        if m and not stripped.startswith(("#", ";")):
-            numbers.setdefault((section, m.group(1).strip().lower()), lineno)
-    return numbers
+def _build(cls, raw: Mapping[str, str], where: Callable[[str], str], prefix: str = "", **given):
+    """Dataclass ``cls`` from the strings ``raw[prefix + key]``, one per schema key.
+
+    Each string is converted by its key's type; ``given`` supplies the other
+    fields.  A missing key raises ``KeyError``.  A bad value raises
+    :class:`SceneFormatError` at ``where(prefix + key)`` for the key it is
+    about, or at ``where(prefix)`` when the dataclass check names no key.
+    """
+    values, keys = dict(given), _keys(cls)
+    for key, kind in keys.items():
+        text = raw[prefix + key]
+        try:
+            values[key] = kind(text)
+        except ValueError as exc:
+            raise SceneFormatError(
+                f"{where(prefix + key)}: '{text}' is not a valid {kind.__name__} for {key}"
+            ) from exc
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        key = next((k for k in keys if re.search(rf"\b{k}\b", str(exc))), "")
+        raise SceneFormatError(f"{where(prefix + key)}: {exc}") from exc
+
+
+def _scene_from_flat(
+    flat: Mapping[str, str], where: Callable[[str], str], prefix: str = ""
+) -> SceneParams:
+    return SceneParams(**{section: _build(cls, flat, where, f"{prefix}{section}.")
+                          for section, (cls, _) in _SCENE_SECTIONS.items()})
 
 
 def parse_scene_text(text: str, source: str = "<string>") -> SceneParams:
-    """Parse a scene document; reject unknown and missing keys with locations."""
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True
-    )
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise SceneFormatError(f"{source}: {exc}") from exc
-
-    lines = _key_line_numbers(text)
-
-    def _where(section: str, key: str = "") -> str:
-        lineno = lines.get((section, key))
-        return f"{source}:{lineno}" if lineno is not None else source
-
-    for section in parser.sections():
-        if section not in _SCENE_SECTIONS:
-            raise SceneFormatError(
-                f"{_where(section)}: unknown section [{section}]; expected one of "
-                f"{', '.join(_SCENE_SECTIONS)}"
-            )
-        for key in parser[section]:
+    """Parse a scene document; reject unknown, duplicate and missing keys with locations."""
+    flat: dict[str, str] = {}
+    lines: dict[str, int] = {}  # "section." and "section.key" -> 1-based line number
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"{source}:{lineno}"
+        # a comment starts at '#' or ';' that opens the line or follows whitespace
+        body = re.sub(r"(^|\s)[#;].*", "", line).strip()
+        if not body:
+            continue
+        pair = re.fullmatch(r"([^=:]+)[=:](.*)", body)
+        if body.startswith("[") and body.endswith("]"):
+            section = body[1:-1]
+            if section not in _SCENE_SECTIONS:
+                raise SceneFormatError(f"{where}: unknown section {body}; expected one of "
+                                       f"{', '.join(_SCENE_SECTIONS)}")
+            name, what = section + ".", f"section {body}"
+        elif pair is None:
+            raise SceneFormatError(f"{where}: expected '[section]' or 'key = value', got {body!r}")
+        elif section is None:
+            raise SceneFormatError(f"{where}: key before the first [section]")
+        else:
+            key = pair[1].strip().lower()
             if key not in _SCENE_SECTIONS[section][1]:
-                raise SceneFormatError(
-                    f"{_where(section, key)}: unknown key '{key}' in [{section}]"
-                )
-
-    built = {}
-    for section, (cls, keys) in _SCENE_SECTIONS.items():
-        if section not in parser:
+                raise SceneFormatError(f"{where}: unknown key '{key}' in [{section}]")
+            name, what = f"{section}.{key}", f"key '{key}' in [{section}]"
+            flat[name] = pair[2].strip()
+        if name in lines:
+            raise SceneFormatError(f"{where}: duplicate {what}, first at line {lines[name]}")
+        lines[name] = lineno
+    for section, (_, keys) in _SCENE_SECTIONS.items():
+        if section + "." not in lines:
             raise SceneFormatError(f"{source}: missing section [{section}]")
-        values = {}
-        for key, kind in keys.items():
-            if key not in parser[section]:
-                raise SceneFormatError(f"{source}: missing key '{key}' in [{section}]")
-            raw = parser[section][key].strip()
-            try:
-                values[key] = kind(raw)
-            except ValueError as exc:
-                raise SceneFormatError(
-                    f"{_where(section, key)}: '{raw}' is not a valid "
-                    f"{kind.__name__} for {section}.{key}"
-                ) from exc
-        try:
-            built[section] = cls(**values)
-        except ValueError as exc:  # at the line of the key it names, else the section's
-            key = next((k for k in keys if re.search(rf"\b{k}\b", str(exc))), "")
-            raise SceneFormatError(f"{_where(section, key)}: {exc}") from exc
-    return SceneParams(**built)
+        missing = [key for key in keys if f"{section}.{key}" not in flat]
+        if missing:
+            raise SceneFormatError(f"{source}: missing key '{missing[0]}' in [{section}]")
+    return _scene_from_flat(flat, lambda name: f"{source}:{lines[name]}")
 
 
 def _format_value(kind: type, value) -> str:
@@ -179,14 +181,12 @@ def flatten_scene_params(params: SceneParams, prefix: str = "") -> dict[str, str
             for section, (_, keys) in _SCENE_SECTIONS.items() for key, kind in keys.items()}
 
 
-def scene_params_from_flat(flat: Mapping[str, str]) -> SceneParams:
-    """Inverse of :func:`flatten_scene_params`."""
+def scene_params_from_flat(flat: Mapping[str, str], prefix: str = "") -> SceneParams:
+    """Inverse of :func:`flatten_scene_params`; errors name the entry they are about."""
     try:
-        values = {section: {key: kind(flat[f"{section}.{key}"]) for key, kind in keys.items()}
-                  for section, (_, keys) in _SCENE_SECTIONS.items()}
+        return _scene_from_flat(flat, lambda name: name.rstrip("."), prefix)
     except KeyError as exc:
         raise SceneFormatError(f"missing scene entry {exc}") from exc
-    return SceneParams(**{name: cls(**values[name]) for name, (cls, _) in _SCENE_SECTIONS.items()})
 
 
 def flatten_campaign_spec(spec: "CampaignSpec") -> dict[str, str]:
@@ -417,15 +417,12 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
 
     header, data = _read_table(path, CAMPAIGN_MAGIC, CAMPAIGN_COLUMNS)
     try:
-        scene = scene_params_from_flat(
-            {k[len("scene."):]: v for k, v in header.items() if k.startswith("scene.")}
-        )
-        spec = CampaignSpec(
-            scene=scene,
-            **{name: kind(header[name]) for name, kind in _keys(CampaignSpec).items()},
-        )
-    except (KeyError, ValueError) as exc:
+        spec = _build(CampaignSpec, header, lambda name: name or "campaign",
+                      scene=scene_params_from_flat(header, "scene."))
+    except KeyError as exc:
         raise TraceIntegrityError(f"{path}: incomplete campaign header: {exc}") from exc
+    except ValueError as exc:
+        raise TraceIntegrityError(f"{path}: bad campaign header: {exc}") from exc
     recorded = header.get("spec_hash", "")
     if campaign_spec_hash(spec) != recorded:
         raise TraceIntegrityError(

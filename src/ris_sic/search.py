@@ -32,7 +32,6 @@ exhaustive enumeration for small surfaces.
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -174,10 +173,10 @@ class GreedyOptimizer:
     start.  Call :meth:`step` to advance one evaluation or :meth:`run` to
     iterate to termination.
 
-    State: the lists ``_readings`` and ``_configs`` in rank order (best first);
-    ``_rows``, the members' 0/1 states as float64 rows in fixed slots, with
-    ``_weights[slot]`` the integer rank weight B - rank of the member there;
-    and ``_ratio``, the cached ``_weights @ _rows`` over the normaliser.
+    State, one entry per buffer slot: ``_values`` (readings), ``_configs``,
+    ``_rows`` (0/1 states as float64 rows) and ``_weights``, the integer rank
+    weight B - rank of the member in the slot.  ``_worst`` is the slot of
+    weight 1, and ``_ratio`` the cached ``_weights @ _rows`` over the normaliser.
     """
 
     def __init__(
@@ -200,18 +199,16 @@ class GreedyOptimizer:
         self.termination_count = 0
 
         half = np.full((self._nx, self._ny), 0.5)
-        warm_readings = []
-        warm_configs = []
+        self._configs, values = [], []
         for _ in range(buffer_size):
-            cand = _draw(half, self.rng)
-            warm_readings.append(self._rec.record(cand)[0])
-            warm_configs.append(cand)
-        order = np.argsort(np.asarray(warm_readings), kind="stable")
-        self._readings = [warm_readings[i] for i in order]
-        self._configs = [warm_configs[i] for i in order]
-        # Slots start in rank order; from here on rows stay where they are.
+            self._configs.append(_draw(half, self.rng))
+            values.append(self._rec.record(self._configs[-1])[0])
+        self._values = np.array(values, dtype=np.float64)
         self._rows = np.stack([c.flat() for c in self._configs]).astype(np.float64)
-        self._weights = np.arange(buffer_size, 0, -1, dtype=np.float64)
+        # Weights B..1 in stable reading order; from here on rows stay where they are.
+        self._weights = np.empty(buffer_size)
+        self._weights[np.argsort(self._values, kind="stable")] = np.arange(buffer_size, 0, -1)
+        self._worst = int(self._weights.argmin())
         self._norm = float(self._weights.sum())  # (B**2 + B)/2, exact
         self._ratio = self._weighted_ratio()
 
@@ -222,11 +219,13 @@ class GreedyOptimizer:
 
     @property
     def buffer_readings(self) -> np.ndarray:
-        return np.array(self._readings, dtype=np.float64)
+        """The members' readings, best rank first."""
+        return self._values[np.argsort(-self._weights)]
 
     @property
     def buffer_configs(self) -> tuple[RisConfig, ...]:
-        return tuple(self._configs)
+        """The members' configurations, best rank first."""
+        return tuple(self._configs[i] for i in np.argsort(-self._weights))
 
     @property
     def iteration(self) -> int:
@@ -260,22 +259,19 @@ class GreedyOptimizer:
             self.termination_count = 0
         else:
             self.termination_count += 1
-        if value < self._readings[-1]:
-            # The candidate displaces the worst member.  A stable sort would
-            # put it after every equal reading, which is this position.
-            pos = bisect.bisect_right(self._readings, value, 0, self.buffer_size - 1)
-            self._readings.insert(pos, value)
-            del self._readings[-1]
-            self._configs.insert(pos, cand)
-            del self._configs[-1]
-            # Ranks pos..B-1 hold weights B-pos..1: each moves down one rank,
-            # and the worst member's slot (weight 1) takes the candidate.
-            top = self.buffer_size - pos
-            weights = self._weights
-            slot = int(weights.argmin())
-            weights[weights <= top] -= 1.0
-            weights[slot] = top
+        if value < self._values[self._worst]:
+            # The candidate displaces the worst member and ranks after every
+            # reading it does not beat, where a stable sort would put it: the
+            # members it beats each move down one rank, and the worst
+            # member's slot takes their count as the candidate's weight.
+            beaten = self._values > value
+            slot = self._worst
+            self._weights -= beaten
+            self._weights[slot] = np.count_nonzero(beaten)
+            self._values[slot] = value
+            self._configs[slot] = cand
             self._rows[slot] = cand.flat()
+            self._worst = int(self._weights.argmin())
             self._ratio = self._weighted_ratio()
         return value
 

@@ -87,6 +87,7 @@ class TestSceneDocuments:
 
         shipped = Path(__file__).resolve().parent.parent / "scenes" / "default.ini"
         assert parse_scene(shipped) == default_scene_params()
+        assert shipped.read_text(encoding="utf-8") == format_scene(default_scene_params())
 
     def test_format_is_stable(self):
         p = default_scene_params()
@@ -171,6 +172,29 @@ class TestSceneDocuments:
         text = format_scene(default_scene_params())
         text = "# a scene file\n" + text.replace("nx = 16", "nx = 16  # full width")
         assert parse_scene_text(text) == default_scene_params()
+
+    @pytest.mark.parametrize("line", ["NX = 16", "nx: 16", "  nx=16 ; full width"])
+    def test_key_spellings(self, line):
+        # keys fold to lower case, ':' delimits like '=', indentation is ignored
+        text = format_scene(default_scene_params()).replace("nx = 16", line)
+        assert parse_scene_text(text) == default_scene_params()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[grid]", "[grid]\n[grid]", r"duplicate section \[grid\], first at line \d+$"),
+        ("ny = 16", "ny = 16\nny = 16", r"duplicate key 'ny' in \[geometry\], first at line 3$"),
+        ("[geometry]", "nx = 16\n[geometry]", r"key before the first \[section\]$"),
+        ("ny = 16", "ny = 16\nwobble", r"expected '\[section\]' or 'key = value', got 'wobble'$"),
+        ("ny = 16", "ny = 16\n    17", r"expected .*, got '17'$"),  # a continuation line
+        ("[geometry]", "[DEFAULT]\n[geometry]", r"unknown section \[DEFAULT\]; "),
+    ], ids=["duplicate-section", "duplicate-key", "key-before-section", "bare-line",
+            "continuation-line", "DEFAULT"])
+    def test_rejected_lines_name_their_number(self, old, new, message):
+        text = format_scene(default_scene_params())
+        edited = text.replace(old, new, 1)
+        lineno = next(i for i, (a, b) in enumerate(
+            zip(text.splitlines(), edited.splitlines()), start=1) if a != b)
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: {message}"):
+            parse_scene_text(edited, source="doc.ini")
 
     def test_non_finite_grid_frequency_rejected(self):
         text = format_scene(default_scene_params()).replace(
@@ -368,6 +392,8 @@ class TestCampaignFiles:
         ([("\n2,-41.5\n", "\n2,-77.0\n")], "mean curve rises at iteration 3"),
         ([("\n4,-42.5\n", "\n4,nan\n")], "mean curve rises at iteration 4"),
         ([("\n3,-42.125\n", "\n5,-42.125\n")], r"iteration column must count 1\.\.horizon"),
+        ([("# scene.geometry.nx: 4\n", "# scene.geometry.nx: abc\n")],
+         r"scene\.geometry\.nx: 'abc' is not a valid int"),
     ])
     def test_edits_inconsistent_with_the_runs_detected(self, tmp_path, edits, message):
         path = tmp_path / "c.csv"
