@@ -14,12 +14,12 @@ resonance split that realizes a requested phase difference at a given center
 frequency.
 
 Every SI evaluation asks for the same two reflections on the same grid, so
-:meth:`UnitCellModel.reflection` memoises array results per model instance,
-keyed on the state and the shape and bytes of the float64 frequencies (arrays
-sharing raw bytes across dtype or shape get separate entries).  The memo holds
-at most ``REFLECTION_MEMO_SIZE`` entries and hands out read-only arrays, so no
-caller can alter what the next one receives and :mod:`ris_sic.channel` can key
-its term tables on them; scalar frequencies are computed afresh.
+:meth:`UnitCellModel.reflection` keeps one ``(freqs, gamma)`` slot per state.
+A slot is reused only for the very same frequency array and filled only when
+that array cannot change (:func:`_immutable`); any other axis, such as a
+snapshot block cut from a writable ``linspace``, is computed afresh and never
+stored.  Array results are read-only, :mod:`ris_sic.channel` keeps its term
+table under the same rule, and scalar frequencies are computed afresh.
 
 The resonance split is found by :func:`_brentq`, a port of Brent's method
 (Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4) that
@@ -35,7 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REFLECTION_MEMO_SIZE = 64
+
+def _immutable(*arrays) -> bool:
+    """Read-only ndarrays owning their data: the one condition for a kernel cache to store."""
+    return all(isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
+               for a in arrays)
 
 
 def _pole_phase(f_hz, resonance_hz: float, quality_factor: float):
@@ -195,30 +199,21 @@ class UnitCellModel:
     def reflection(self, state, f_hz):
         """Complex reflection coefficient; broadcasts over frequency arrays.
 
-        Array results are memoised and read-only; a scalar frequency gives a
-        fresh scalar.
+        Array results are read-only, and the last one per state is returned
+        again for the same immutable array; a scalar gives a fresh scalar.
         """
         f = np.asarray(f_hz, dtype=np.float64)
-        if f.ndim == 0:
-            return self._reflection(state, f_hz)
-        memo = self._reflection_memo
-        key = (bool(state), f.shape, f.tobytes())
-        gamma = memo.get(key)
-        if gamma is None:
-            gamma = self._reflection(state, f)
+        kept = self._reflection_memo.get(bool(state))
+        if kept is not None and kept[0] is f:
+            return kept[1]
+        amp, res = ((self.amplitude_on, self.resonance_on_hz) if state
+                    else (self.amplitude_off, self.resonance_off_hz))
+        gamma = amp * np.exp(1j * np.asarray(_pole_phase(f, res, self.quality_factor)))
+        if f.ndim:
             gamma.setflags(write=False)
-            if len(memo) >= REFLECTION_MEMO_SIZE:
-                memo.clear()
-            memo[key] = gamma
+            if _immutable(f):
+                self._reflection_memo[bool(state)] = (f, gamma)
         return gamma
-
-    def _reflection(self, state, f_hz):
-        if state:
-            amp, res = self.amplitude_on, self.resonance_on_hz
-        else:
-            amp, res = self.amplitude_off, self.resonance_off_hz
-        phase = _pole_phase(f_hz, res, self.quality_factor)
-        return amp * np.exp(1j * np.asarray(phase))
 
     def phase_difference_deg(self, f_hz: float) -> float:
         """Circular ON-OFF phase distance at ``f_hz``, in [0, 180] degrees."""

@@ -9,7 +9,7 @@ function under a surface configuration is
     H(f) = direct(f) + sum_i h_i(f) * gamma_i(state_i, f) * g_i(f)
 
 with ``gamma_i`` the two-state element reflection from :mod:`ris_sic.cell`;
-:func:`transfer_vector` reads each term from per-scene two-state tables.  All
+:func:`transfer_vector` reads each term from a per-scene two-state table.  All
 SI magnitudes are transfer functions relative to unit transmit amplitude, so
 results are in dB; add the transmit power to obtain dBm.
 
@@ -40,14 +40,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import UnitCellModel
+from .cell import UnitCellModel, _immutable
 from .model import FrequencyGrid, RisConfig
 from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
 TAP_BLOCK = 1 << 16  # clutter phase terms alive at once in _tap_response (1 MiB)
 FREQ_BLOCK = 1 << 13  # (N, K) channel terms alive at once in channels_at and snapshots
-_PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, t_on, t_off)
+_PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, table, rows)
 
 
 # --------------------------------------------------------------------------
@@ -404,37 +404,37 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
 # --------------------------------------------------------------------------
 
 def _path_terms(h, g, gamma_on, gamma_off) -> tuple[np.ndarray, np.ndarray]:
-    """Term tables ``(h * gamma_on * g, h * gamma_off * g)``, memoised as
+    """The (2N, K) table with element i's ``h*gamma_off*g`` at row 2i and its
+    ``h*gamma_on*g`` at 2i+1, and the offsets ``2*arange(N)``; memoised as
     :func:`transfer_vector` describes."""
     global _PATH_TERMS_LAST
-    last_h, last_g, last_on, last_off, t_on, t_off = _PATH_TERMS_LAST
+    last_h, last_g, last_on, last_off, table, rows = _PATH_TERMS_LAST
     if h is last_h and g is last_g and gamma_on is last_on and gamma_off is last_off:
-        return t_on, t_off
-    t_on, t_off = h * gamma_on * g, h * gamma_off * g
-    if all(isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
-           for a in (h, g, gamma_on, gamma_off)):
-        t_on.setflags(write=False)
-        t_off.setflags(write=False)
-        _PATH_TERMS_LAST = (h, g, gamma_on, gamma_off, t_on, t_off)
-    return t_on, t_off
+        return table, rows
+    table = np.stack((h * gamma_off * g, h * gamma_on * g), axis=1).reshape(-1, h.shape[-1])
+    rows = 2 * np.arange(h.shape[0])
+    table.setflags(write=False)
+    if _immutable(h, g, gamma_on, gamma_off):
+        _PATH_TERMS_LAST = (h, g, gamma_on, gamma_off, table, rows)
+    return table, rows
 
 
 def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np.ndarray:
     """Composite transfer function H at every frequency for one configuration.
 
     Single canonical kernel: every SI evaluation in the package goes through
-    this, so readings from different entry points agree bit-exactly.  Each
-    element adds one term from the (N, K) tables ``h * gamma_on * g`` and
-    ``h * gamma_off * g``.  The last tables built from ``h``, ``g`` and both
-    reflections are kept read-only, with those four operands, when all four are
-    read-only arrays owning their data, and are reused when the next call passes
-    the very same four objects; so at most one scene's tables stay alive.
-    The C-order selection and ``sum(axis=0)`` fix the bits (rows are added in
+    this, so readings from different entry points agree bit-exactly.  Element
+    i adds row ``2i + state_i`` of one read-only table stacking its two terms
+    (see :func:`_path_terms`).  The last table is kept with ``h``, ``g`` and
+    both reflections under the rule of :meth:`UnitCellModel.reflection`: reused
+    only for the very same four objects, stored only when all four are
+    immutable; so at most one scene's table stays alive.  The gathered (N, K)
+    rows are in C order and ``sum(axis=0)`` fixes the bits (rows are added in
     sequence at K > 1, pairwise at K = 1); a transposed table or
     ``base + S @ (T_on - T_off)`` would not be bit-equal.
     """
-    t_on, t_off = _path_terms(h, g, cell.reflection(True, freqs), cell.reflection(False, freqs))
-    return direct + np.where(flat_states[:, None], t_on, t_off).sum(axis=0)
+    table, rows = _path_terms(h, g, cell.reflection(True, freqs), cell.reflection(False, freqs))
+    return direct + table.take(rows + flat_states, axis=0).sum(axis=0)
 
 
 def _amplitude_db(transfer: np.ndarray) -> np.ndarray:

@@ -43,6 +43,9 @@ def _apply_grid_flags(params: SceneParams, args) -> SceneParams:
         return params
     bw = params.grid.bandwidth_hz if bandwidth is None else float(bandwidth)
     if bw == 0.0:
+        if points not in (None, 1):
+            raise ValueError(f"--points {points} needs a non-zero --bandwidth; "
+                             f"a narrowband grid has 1 point")
         k = 1
     elif points is not None:
         k = int(points)

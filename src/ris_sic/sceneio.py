@@ -38,6 +38,8 @@ SNAPSHOT_MAGIC = "# ris-sic snapshot v1"
 CONFIG_MAGIC = "# ris-sic config v1"
 
 TRACE_COLUMNS = ("iteration", "evaluated_db", "cumulative_db")
+# Header keys write_trace derives from the trace itself
+TRACE_KEYS = ("algorithm", "buffer_size", "stall_limit", "iterations_total", "final_db")
 CAMPAIGN_COLUMNS = ("iteration", "mean_cumulative_db")
 # Statistics of a campaign's final values, as its header and its sweep row report them
 FINAL_STATS = {"final_median_db": np.median, "final_mean_db": np.mean,
@@ -218,7 +220,13 @@ def _atomic_write(path: PathLike, chunks: Iterable[str]) -> None:
 
 
 def _header_lines(header: Mapping[str, str]) -> list[str]:
-    return [f"# {key}: {value}" for key, value in header.items()]
+    """``# key: value`` lines; refuses an entry the readers would not give back:
+    the ``columns`` key, a key holding ``:`` or a key or value holding a line break."""
+    lines = [f"# {key}: {value}" for key, value in header.items()]
+    for key, line in zip(header, lines):
+        if str(key).strip() == "columns" or ":" in str(key) or line.splitlines() != [line]:
+            raise ValueError(f"header entry {line[2:]!r} cannot be read back")
+    return lines
 
 
 def _write_table(
@@ -320,15 +328,18 @@ def write_trace(
         meta["stall_limit"] = str(trace.stall_limit)
     meta["iterations_total"] = str(trace.iterations_total)
     meta["final_db"] = fmt_float(trace.best_reading.magnitude_db)
-    if header:
-        meta.update({str(k): str(v) for k, v in header.items()})
+    for key, value in (header or {}).items():
+        if str(key).strip() in TRACE_KEYS:
+            raise ValueError(f"header entry {key!r} clashes with a key write_trace derives")
+        meta[str(key)] = str(value)
     rows = (f"{i},{fmt_float(ev)},{fmt_float(cu)}"
             for i, (ev, cu) in enumerate(zip(trace.evaluated, trace.cumulative), start=1))
     _write_table(path, TRACE_MAGIC, meta, TRACE_COLUMNS, rows)
 
 
 def read_trace(path: PathLike) -> LoadedTrace:
-    """Load a trace table; rejects tampered cumulative columns."""
+    """Load a trace table; rejects tampered cumulative columns and a header
+    whose ``iterations_total`` or ``final_db`` disagrees with the rows."""
     header, data = _read_table(path, TRACE_MAGIC, TRACE_COLUMNS)
     iteration = data[:, 0].astype(np.int64)
     evaluated = data[:, 1]
@@ -342,6 +353,12 @@ def read_trace(path: PathLike) -> LoadedTrace:
             f"{path}: cumulative column is not the running minimum "
             f"(first mismatch at iteration {bad + 1})"
         )
+    for key, expected in (("iterations_total", str(data.shape[0])),
+                          ("final_db", fmt_float(cumulative[-1]))):
+        if header.get(key) != expected:
+            raise TraceIntegrityError(
+                f"{path}: {key} is {header.get(key)} but the rows give {expected}"
+            )
     return LoadedTrace(header, iteration, evaluated, cumulative)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_sic.cell import (
-    REFLECTION_MEMO_SIZE,
     UnitCellModel,
     _brentq,
     _pole_phase,
@@ -186,25 +185,53 @@ def _fresh_reflection(cell, state, f_hz):
     return amp * np.exp(1j * np.asarray(_pole_phase(f_hz, res, cell.quality_factor)))
 
 
+def _immutable_axis(*args):
+    """A read-only frequency array that owns its data, as a grid's points are."""
+    freqs = np.linspace(*args).copy()  # linspace returns a view
+    freqs.setflags(write=False)
+    return freqs
+
+
 class TestReflectionMemo:
     def test_hits_and_misses_equal_a_fresh_computation(self):
         cell = UnitCellModel.with_phase_target(FC)
-        grids = [np.array([FC]), np.linspace(FC - 5e6, FC + 5e6, 11),
-                 np.linspace(FC - 10e6, FC + 10e6, 201)]
-        for _ in range(2):  # first pass fills the memo, second reads it
-            for freqs in grids:
-                for state in (True, False):
-                    got = cell.reflection(state, freqs)
-                    assert np.array_equal(got, _fresh_reflection(cell, state, freqs))
-        assert len(cell._reflection_memo) == 2 * len(grids)
+        grids = [_immutable_axis(FC, FC, 1), _immutable_axis(FC - 5e6, FC + 5e6, 11),
+                 _immutable_axis(FC - 10e6, FC + 10e6, 201)]
+        for freqs in grids:
+            for state in (True, False):
+                first = cell.reflection(state, freqs)  # a miss fills the slot
+                assert np.array_equal(first, _fresh_reflection(cell, state, freqs))
+                assert cell.reflection(state, freqs) is first  # the same array hits
+        assert sorted(cell._reflection_memo) == [False, True]  # one slot per state
+        assert all(freqs is grids[-1] for freqs, _ in cell._reflection_memo.values())
 
     def test_results_are_read_only_and_shared(self):
         cell = UnitCellModel.with_phase_target(FC)
-        freqs = np.linspace(FC - 5e6, FC + 5e6, 11)
+        freqs = _immutable_axis(FC - 5e6, FC + 5e6, 11)
         first = cell.reflection(True, freqs)
         with pytest.raises(ValueError):
             first[0] = 0.0
-        assert cell.reflection(True, freqs.copy()) is first
+        assert cell.reflection(True, freqs) is first
+        assert not cell.reflection(False, freqs).flags.writeable
+
+    @pytest.mark.parametrize("kind", ["copy", "writable", "read-only view"])
+    def test_mutable_axes_are_read_afresh_and_never_stored(self, kind):
+        cell = UnitCellModel.with_phase_target(FC)
+        grid = _immutable_axis(FC - 5e6, FC + 5e6, 11)
+        kept = cell.reflection(True, grid)
+        base = grid.copy() if kind == "copy" else np.linspace(FC - 5e6, FC + 5e6, 11)
+        freqs = base
+        if kind == "read-only view":  # read-only, but its memory can still change
+            freqs = base.view()
+            freqs.setflags(write=False)
+        for _ in range(2):
+            got = cell.reflection(True, freqs)
+            assert got is not kept and not got.flags.writeable
+            assert np.array_equal(got, _fresh_reflection(cell, True, freqs))
+            base[0] += 1e6
+        assert list(cell._reflection_memo) == [True]
+        assert cell._reflection_memo[True][0] is grid
+        assert cell.reflection(True, grid) is kept
 
     def test_scalar_is_not_memoised(self):
         cell = UnitCellModel.with_phase_target(FC)
@@ -223,11 +250,12 @@ class TestReflectionMemo:
 
     def test_memo_stays_bounded(self):
         cell = UnitCellModel.with_phase_target(FC)
-        for i in range(3 * REFLECTION_MEMO_SIZE):
-            freqs = np.array([FC + i])
+        for i in range(200):
+            freqs = _immutable_axis(FC + i, FC + i, 1)
             assert np.array_equal(cell.reflection(i % 2 == 0, freqs),
                                   _fresh_reflection(cell, i % 2 == 0, freqs))
-            assert len(cell._reflection_memo) <= REFLECTION_MEMO_SIZE
+            assert len(cell._reflection_memo) <= 2  # one slot per state
+            assert cell._reflection_memo[i % 2 == 0][0] is freqs
 
     def test_memo_leaves_equality_and_hash_alone(self):
         a = UnitCellModel.with_phase_target(FC)

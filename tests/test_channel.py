@@ -297,15 +297,32 @@ class TestTermTables:
 
     def test_tables_are_read_only_and_reused(self, wideband_scene):
         freqs = wideband_scene.grid.points
-        operands = (wideband_scene.h, wideband_scene.g,
-                    wideband_scene.cell.reflection(True, freqs),
-                    wideband_scene.cell.reflection(False, freqs))
-        first = channel._path_terms(*operands)
-        second = channel._path_terms(*operands)
-        for table, again, gamma in zip(first, second, operands[2:]):
-            assert again is table
-            assert not table.flags.writeable
-            assert np.array_equal(table, wideband_scene.h * gamma * wideband_scene.g)
+        h, g = wideband_scene.h, wideband_scene.g
+        gamma_on = wideband_scene.cell.reflection(True, freqs)
+        gamma_off = wideband_scene.cell.reflection(False, freqs)
+        table, rows = channel._path_terms(h, g, gamma_on, gamma_off)
+        again = channel._path_terms(h, g, gamma_on, gamma_off)
+        assert again[0] is table and again[1] is rows
+        assert not table.flags.writeable
+        assert table.shape == (2 * h.shape[0], h.shape[1])
+        assert np.array_equal(rows, 2 * np.arange(h.shape[0]))
+        assert np.array_equal(table[rows], h * gamma_off * g)
+        assert np.array_equal(table[rows + 1], h * gamma_on * g)
+
+    def test_snapshot_keeps_the_grid_caches(self):
+        # a snapshot's blocks are views of a writable axis: read afresh, never stored
+        from ris_sic.experiment import transfer_snapshot
+
+        scene = built_scene(16, 11)
+        config = RisConfig(np.random.default_rng(4).random((16, 16)) < 0.5)
+        si_per_point_db(scene, config)
+        kept = dict(scene.cell._reflection_memo)
+        table = channel._PATH_TERMS_LAST[4]
+        transfer_snapshot(scene, config, 20e6, 4097)
+        assert sorted(kept) == [False, True]
+        assert all(scene.cell._reflection_memo[state][1] is gamma
+                   for state, (_, gamma) in kept.items())
+        assert channel._PATH_TERMS_LAST[4] is table
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_writable_channel_is_read_afresh_and_never_stored(self, read_only_view):

@@ -153,6 +153,13 @@ class TestOptimize:
         assert "bandwidth_hz must be non-negative and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_points_without_bandwidth_is_domain_error(self, small_scene_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = run_cli("optimize", "--scene", small_scene_file, "--points", 11, "--out", out)
+        assert rc == 2
+        assert "--points 11 needs a non-zero --bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRandom:
     def test_runs_fixed_budget(self, small_scene_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """File formats: scene documents, trace/campaign/snapshot tables, config grids."""
 
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -256,6 +257,37 @@ class TestTraceFiles:
         with pytest.raises(TraceIntegrityError, match="1..N"):
             read_trace(path)
 
+    # each of these wrote a file at one time: the first two failed to load
+    # ("unexpected columns", "missing '# columns:' line"), the third read back
+    # as {"a": "b: v"}, the rest overrode what the trace itself records
+    @pytest.mark.parametrize("header", [
+        {"columns": "x"}, {"a": "a\nb"}, {"a:b": "v"}, {"a\nb": "v"}, {"a": "a\rb"},
+        *({key: "1"} for key in ("algorithm", "buffer_size", "stall_limit",
+                                 "iterations_total", "final_db")),
+    ], ids=lambda header: repr(*header))
+    def test_header_entries_that_cannot_be_read_back_are_refused(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        (key,) = header
+        with pytest.raises(ValueError, match=re.escape(repr(key)[1:-1])):
+            write_trace(make_trace([-40.0, -42.0]), path, header=header)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("# iterations_total: 7", "iterations_total is 7 but the rows give 2"),
+        ("# final_db: -99.0", "final_db is -99.0 but the rows give -42.0"),
+        ("", "iterations_total is None but the rows give 2"),
+    ])
+    def test_header_disagreeing_with_rows_rejected(self, tmp_path, line, message):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([-40.0, -42.0]), path)
+        lines = path.read_text().splitlines()
+        key = line.partition(":")[0] or "# iterations_total"
+        (at,) = [i for i, text in enumerate(lines) if text.startswith(key + ":")]
+        lines[at] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceIntegrityError, match=message):
+            read_trace(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# something else\n1,2,3\n")
@@ -439,6 +471,15 @@ class TestSnapshotFiles:
         path.write_text(path.read_text().replace("si_db", "si_dbm"))
         with pytest.raises(TraceIntegrityError, match="unexpected columns"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("header", [{"columns": "x"}, {"a:b": "v"}, {"a": "a\nb"}])
+    def test_header_entries_that_cannot_be_read_back_are_refused(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="cannot be read back"):
+            write_snapshot(np.array([5.38e9, 5.39e9]), np.array([-40.0, -41.0]), path, header)
+        with pytest.raises(ValueError, match="cannot be read back"):
+            write_config_grid(RisConfig.all_on(2, 2), path, header)
+        assert not path.exists()
 
     def test_round_trip(self, tmp_path, wideband_scene):
         config = RisConfig.all_on(4, 4)
