@@ -3,14 +3,23 @@
 These are reporting identities on dB/dBm quantities.  The simulator's ground
 truth for residual self-interference is always the complex channel sum (see
 :mod:`ris_sic.channel`); the budget identity here cannot represent destructive
-superposition and is provided for bookkeeping against a known baseline.
+superposition and is provided for bookkeeping against a known baseline.  The
+channel's hops take their path loss, bit for bit, from :func:`fspl_db`'s formula.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .units import C0_M_PER_S
+
+
+def _fspl_db(d_m, f_hz, g_a_dbi, g_b_dbi):
+    """Free-space path loss in dB, elementwise; broadcasts over arrays."""
+    return (20.0 * np.log10(d_m) + 20.0 * np.log10(f_hz)
+            + 20.0 * np.log10(4.0 * math.pi / C0_M_PER_S) - g_a_dbi - g_b_dbi)
 
 
 def fspl_db(d_m: float, f_hz: float, g_t_dbi: float = 0.0, g_r_dbi: float = 0.0) -> float:
@@ -22,13 +31,7 @@ def fspl_db(d_m: float, f_hz: float, g_t_dbi: float = 0.0, g_r_dbi: float = 0.0)
         raise ValueError(f"distance must be positive, got {d_m}")
     if f_hz <= 0.0:
         raise ValueError(f"frequency must be positive, got {f_hz}")
-    return (
-        20.0 * math.log10(d_m)
-        + 20.0 * math.log10(f_hz)
-        + 20.0 * math.log10(4.0 * math.pi / C0_M_PER_S)
-        - g_t_dbi
-        - g_r_dbi
-    )
+    return float(_fspl_db(d_m, f_hz, g_t_dbi, g_r_dbi))
 
 
 def leaked_power_dbm(p_tx_dbm: float, alpha_iso_db: float) -> float:

@@ -24,12 +24,13 @@ Static multipath ("clutter") is modeled as a small set of frozen scattering
 taps per path: complex Gaussian gains at random excess delays, scaled to a
 configurable power relative to the deterministic path.  At any single
 frequency this is complex Gaussian clutter; across frequency it decorrelates
-on the physical coherence-bandwidth scale set by the delay spread.  Taps are
-evaluated in blocks of paths of at most ``TAP_BLOCK`` phase terms, so memory
-does not grow with taps x points; ``-2j*pi*delay`` is formed over all paths
-before the blocks are cut, which keeps the channels bit-exact.  Channels and
-snapshots are built in blocks of frequency points, at most ``FREQ_BLOCK`` (N, K)
-terms (32 points at 16x16) but never one lone point; see :func:`freq_blocks`.
+on the physical coherence-bandwidth scale set by the delay spread.  Channels
+and snapshots are built in blocks of frequency points, at most ``FREQ_BLOCK``
+(N, K) terms (32 points at 16x16) but never one lone point; see
+:func:`freq_blocks`.  That one rule also bounds the clutter: each block's taps
+form one (N, M, K) phase tensor, at most 1 MiB at the default 8 taps.  Above
+8 taps it grows with the tap count, as the (N, M) tap arrays do, but never
+with the number of points.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from typing import Optional
 
 import numpy as np
 
+from .budget import _fspl_db
 from .cell import UnitCellModel, _immutable
 from .model import FrequencyGrid, RisConfig
 from .units import C0_M_PER_S, db_to_linear
 
 DEFAULT_CENTER_HZ = 5.385e9
-TAP_BLOCK = 1 << 16  # clutter phase terms alive at once in _tap_response (1 MiB)
 FREQ_BLOCK = 1 << 13  # (N, K) channel terms alive at once in channels_at and snapshots
 _PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, table, rows)
 
@@ -173,40 +174,18 @@ def default_scene_params() -> SceneParams:
 # generative channel model (supports off-grid evaluation for snapshots)
 # --------------------------------------------------------------------------
 
-def _fspl_amplitude(d_m, f_hz, g_a_dbi: float, g_b_dbi: float):
-    """Linear amplitude of one free-space hop; broadcasts over arrays."""
-    loss_db = (
-        20.0 * np.log10(d_m)
-        + 20.0 * np.log10(f_hz)
-        + 20.0 * np.log10(4.0 * math.pi / C0_M_PER_S)
-        - g_a_dbi
-        - g_b_dbi
-    )
-    return 10.0 ** (-loss_db / 20.0)
-
-
 def _tap_response(gains: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Frozen clutter taps evaluated on a frequency axis.
 
     gains/delays have shape (..., M); the result has shape (..., K) and unit
-    average power per path.  Rows of paths are taken in blocks of at most
-    ``TAP_BLOCK`` phase terms, never the whole (..., M, K) tensor.  ``scaled``
-    is formed over all paths before slicing, so its product keeps the unblocked
-    SIMD body/tail split; later steps are elementwise or reduce within a row,
-    so the result is bit-identical to the unblocked formula.
+    average power per path.  The whole (..., M, K) phase tensor is formed, so
+    callers bound its memory by passing few points: ``direct_at`` and ``_hop``
+    run once per :func:`freq_blocks` block, at most ``max(2, FREQ_BLOCK // N) + 1``
+    points, and ``build_scene``'s calibration passes one.
     """
-    m = gains.shape[-1]
-    scaled = (-2j * np.pi * delays[..., :, None]).reshape(-1, m, 1)
-    gains = gains.reshape(-1, m)
-    out = np.empty((gains.shape[0], freqs.size), dtype=np.complex128)
-    rows = max(1, TAP_BLOCK // (m * max(freqs.size, 1)))
-    for r in range(0, out.shape[0], rows):
-        phase = scaled[r:r + rows] * freqs
-        np.exp(phase, out=phase)
-        np.einsum("rm,rmk->rk", gains[r:r + rows], phase, out=out[r:r + rows])
-        del phase  # one block alive at a time
-    out /= math.sqrt(m)
-    return out.reshape(delays.shape[:-1] + (freqs.size,))
+    phase = -2j * np.pi * delays[..., :, None] * freqs
+    np.exp(phase, out=phase)
+    return np.einsum("...m,...mk->...k", gains, phase) / math.sqrt(gains.shape[-1])
 
 
 def freq_blocks(n: int, k: int) -> list[slice]:
@@ -248,10 +227,11 @@ class _ChannelModel:
         return self.direct_scale * det
 
     def _hop(self, d_m, freqs, g_near_dbi, tap_gain, tap_delay):
-        amp = _fspl_amplitude(d_m[:, None], freqs[None, :], g_near_dbi, self.element_gain_dbi)
-        coeff = amp * np.exp(-2j * np.pi * freqs[None, :] * d_m[:, None] / C0_M_PER_S)
+        loss = _fspl_db(d_m[:, None], freqs[None, :], g_near_dbi, self.element_gain_dbi)
+        coeff = db_to_linear(-loss) * np.exp(
+            -2j * np.pi * freqs[None, :] * d_m[:, None] / C0_M_PER_S)
         if self.clutter_amp > 0.0:
-            ref = _fspl_amplitude(d_m, self.center_hz, g_near_dbi, self.element_gain_dbi)
+            ref = db_to_linear(-_fspl_db(d_m, self.center_hz, g_near_dbi, self.element_gain_dbi))
             coeff = coeff + (self.clutter_amp * ref)[:, None] * _tap_response(
                 tap_gain, tap_delay, freqs
             )

@@ -220,11 +220,11 @@ def _atomic_write(path: PathLike, chunks: Iterable[str]) -> None:
 
 
 def _header_lines(header: Mapping[str, str]) -> list[str]:
-    """``# key: value`` lines; refuses an entry the readers would not give back:
-    the ``columns`` key, a key holding ``:`` or a key or value holding a line break."""
+    """``# key: value`` lines; refuses an entry the readers would not give back: the
+    ``columns`` key, a key holding ``:`` or edge whitespace or a line break in either."""
     lines = [f"# {key}: {value}" for key, value in header.items()]
-    for key, line in zip(header, lines):
-        if str(key).strip() == "columns" or ":" in str(key) or line.splitlines() != [line]:
+    for key, line in zip(map(str, header), lines):
+        if key != key.strip() or key == "columns" or ":" in key or line.splitlines() != [line]:
             raise ValueError(f"header entry {line[2:]!r} cannot be read back")
     return lines
 
@@ -253,6 +253,7 @@ def _read_table(
                 f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)"
             )
         header: dict[str, str] = {}
+        first: dict[str, int] = {}  # header key -> its line number
         lineno, seen_columns = 1, False
         while True:
             start, line = fh.tell(), fh.readline()
@@ -267,7 +268,11 @@ def _read_table(
                     raise TraceIntegrityError(f"{path}: unexpected columns {found}")
                 seen_columns = True
             elif colon:
-                header[key.strip()] = value.strip()
+                key = key.strip()
+                if key in first:
+                    raise TraceIntegrityError(f"{path}:{lineno}: duplicate header key "
+                                              f"{key!r}, first at line {first[key]}")
+                header[key], first[key] = value.strip(), lineno
         if not seen_columns:
             raise TraceIntegrityError(f"{path}: missing '# columns:' line")
         if not line:
@@ -450,10 +455,13 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
         raise TraceIntegrityError(
             f"{path}: {data.shape[0]} curve rows but horizon {spec.horizon}"
         )
-    finals = np.asarray(
-        [float(v) for v in header.get("final_values_db", "").split(";") if v],
-        dtype=np.float64,
-    )
+    finals = []
+    for entry in filter(None, header.get("final_values_db", "").split(";")):
+        try:
+            finals.append(float(entry))
+        except ValueError as exc:
+            raise TraceIntegrityError(f"{path}: bad final_values_db entry {entry!r}") from exc
+    finals = np.asarray(finals, dtype=np.float64)
     if finals.size != spec.runs:
         raise TraceIntegrityError(f"{path}: {finals.size} final values for {spec.runs} runs")
     # the statistics CampaignResult reports, from the same values in the same order

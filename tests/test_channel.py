@@ -324,6 +324,21 @@ class TestTermTables:
                    for state, (_, gamma) in kept.items())
         assert channel._PATH_TERMS_LAST[4] is table
 
+    def test_copied_axis_keeps_the_grid_table(self):
+        # a writable copy of the grid's axis gets reflections owning no data,
+        # so the kernel neither stores a table for it nor drops the grid's
+        scene = built_scene(16, 11)
+        flat = np.random.default_rng(6).random(256) < 0.5
+        args = kernel_args(scene)
+        want = transfer_vector(*args, flat)
+        table = channel._PATH_TERMS_LAST[4]
+        for _ in range(2):
+            copied = scene.grid.points.copy()
+            got = transfer_vector(scene.direct, scene.h, scene.g, scene.cell, copied, flat)
+            assert got.tobytes() == want.tobytes()
+            assert channel._PATH_TERMS_LAST[4] is table
+        assert not scene.cell.reflection(True, copied).flags.owndata
+
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_writable_channel_is_read_afresh_and_never_stored(self, read_only_view):
         scene = synthetic_scene(2, 3, points=5, seed=2)
@@ -365,47 +380,54 @@ def full_tensor_tap_response(gains, delays, freqs):
 
 
 class TestTapResponse:
-    """Blocked clutter taps against the full-tensor formula, byte for byte."""
+    """Clutter taps cut along the frequency axis, as the callers cut it, against
+    the full-tensor formula, byte for byte; ``block`` is points per call, so
+    its two largest values both give one call."""
 
-    @pytest.mark.parametrize("block", [1, 7, channel.TAP_BLOCK, 1 << 30])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16, 1 << 30])
     @pytest.mark.parametrize("k", [1, 2, 11, 201])
     @pytest.mark.parametrize("lead", [(), (37,)])
     @pytest.mark.parametrize("m", [1, 3, 8])
-    def test_blocks_equal_full_tensor(self, monkeypatch, block, k, lead, m):
+    def test_blocks_equal_full_tensor(self, block, k, lead, m):
         rng = np.random.default_rng(1000 * m + k)
         gains = rng.standard_normal(lead + (m,)) + 1j * rng.standard_normal(lead + (m,))
         delays = rng.uniform(0.0, 30e-9, size=lead + (m,))
         freqs = np.linspace(FC - 10e6, FC + 10e6, k) if k > 1 else np.array([FC])
-        monkeypatch.setattr(channel, "TAP_BLOCK", block)
-        got = channel._tap_response(gains, delays, freqs)
+        got = np.concatenate([channel._tap_response(gains, delays, freqs[a:a + block])
+                              for a in range(0, k, block)], axis=-1)
         want = full_tensor_tap_response(gains, delays, freqs)
         assert got.shape == want.shape == lead + (k,)
         assert got.tobytes() == want.tobytes()
 
     def test_shipped_snapshot_spans_blocks(self):
-        # the default 16x16, 8-tap scene on a 201-point axis: 40 rows a block,
-        # 256 rows in all, so the last block is short
+        # the default 16x16, 8-tap scene on a 201-point axis: six 32-point
+        # frequency blocks and a short last one of 9
         model = build_scene(default_scene_params()).channel_model
         freqs = np.linspace(FC - 10e6, FC + 10e6, 201)
-        assert model.h_tap_gain.size * freqs.size > channel.TAP_BLOCK
+        blocks = channel.freq_blocks(model.h_tap_gain.shape[0], freqs.size)
+        assert len(blocks) == 7
         for gains, delays in ((model.h_tap_gain, model.h_tap_delay),
                               (model.g_tap_gain, model.g_tap_delay),
                               (model.direct_tap_gain, model.direct_tap_delay)):
-            got = channel._tap_response(gains, delays, freqs)
+            got = np.concatenate([channel._tap_response(gains, delays, freqs[b])
+                                  for b in blocks], axis=-1)
             assert got.tobytes() == full_tensor_tap_response(gains, delays, freqs).tobytes()
 
     def test_snapshot_channels_peak_memory_is_bounded(self):
-        # a whole (N, M, K) phase tensor and its exp would take ~9x the
-        # channels returned; tap blocks keep the peak near the output
-        scene = build_scene(default_scene_params())
+        # one frequency block's (N, M, K) phase tensor at a time, never the
+        # whole axis's: the extra peak grows with the taps, not the points
+        p = default_scene_params()
         freqs = np.linspace(FC - 10e6, FC + 10e6, 2001)
-        tracemalloc.start()
-        try:
-            out = scene.channels_at(freqs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * sum(a.nbytes for a in out)
+        for taps in (8, 64):
+            scene = build_scene(replace(p, clutter=replace(p.clutter, taps=taps)))
+            tracemalloc.start()
+            try:
+                out = scene.channels_at(freqs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra = taps * channel.FREQ_BLOCK * 16 + 2 * 2**20
+            assert peak < sum(a.nbytes for a in out) + extra, taps
 
 
 def _sha256(a):

@@ -272,6 +272,19 @@ class TestTraceFiles:
             write_trace(make_trace([-40.0, -42.0]), path, header=header)
         assert not path.exists()
 
+    # at one time the last of two lines read back without a word
+    @pytest.mark.parametrize("line", ["# algorithm: random", "#  algorithm :random"])
+    def test_repeated_header_key_rejected(self, tmp_path, line):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([-40.0, -42.0]), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# algorithm: greedy"
+        lines.insert(2, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceIntegrityError,
+                           match=r"t\.csv:3: duplicate header key 'algorithm', first at line 2"):
+            read_trace(path)
+
     @pytest.mark.parametrize("line, message", [
         ("# iterations_total: 7", "iterations_total is 7 but the rows give 2"),
         ("# final_db: -99.0", "final_db is -99.0 but the rows give -42.0"),
@@ -426,6 +439,8 @@ class TestCampaignFiles:
         ([("\n3,-42.125\n", "\n5,-42.125\n")], r"iteration column must count 1\.\.horizon"),
         ([("# scene.geometry.nx: 4\n", "# scene.geometry.nx: abc\n")],
          r"scene\.geometry\.nx: 'abc' is not a valid int"),
+        ([("# final_values_db: ", "# final_values_db: abc;")],
+         r"c\.csv: bad final_values_db entry 'abc'"),
     ])
     def test_edits_inconsistent_with_the_runs_detected(self, tmp_path, edits, message):
         path = tmp_path / "c.csv"
@@ -472,7 +487,9 @@ class TestSnapshotFiles:
         with pytest.raises(TraceIntegrityError, match="unexpected columns"):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("header", [{"columns": "x"}, {"a:b": "v"}, {"a": "a\nb"}])
+    # a key with edge whitespace read back stripped, so {"a": "1", " a": "2"} gave {"a": "2"}
+    @pytest.mark.parametrize("header", [{"columns": "x"}, {"a:b": "v"}, {"a": "a\nb"},
+                                        {"a": "1", " a": "2"}, {"a ": "v"}])
     def test_header_entries_that_cannot_be_read_back_are_refused(self, tmp_path, header):
         path = tmp_path / "s.csv"
         with pytest.raises(ValueError, match="cannot be read back"):
