@@ -189,7 +189,9 @@ class UnitCellModel:
             resonance_off_hz=center_hz * (1.0 + split),
             quality_factor=quality_factor,
         )
-        achieved = cell.phase_difference_deg(center_hz)
+        gap = (_pole_phase(center_hz, cell.resonance_on_hz, quality_factor)
+               - _pole_phase(center_hz, cell.resonance_off_hz, quality_factor))
+        achieved = abs(math.degrees(math.remainder(gap, 2.0 * math.pi)))
         if abs(achieved - phase_target_deg) > 1.0:
             raise RuntimeError(
                 f"resonance solve missed the phase target: {achieved:.3f} deg "

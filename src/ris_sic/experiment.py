@@ -89,29 +89,31 @@ def _final_stat(key: str) -> property:  # a final-value statistic, as the files 
 
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
+    """A campaign's traces and, kept read-only, their ``mean_curve`` and ``final_values``."""
+
     spec: CampaignSpec
     traces: tuple[ConvergenceTrace, ...]
     created_utc: str
     spec_hash: str = field(init=False)
-    curves: np.ndarray = field(init=False)  # (runs, horizon)
+    mean_curve: np.ndarray = field(init=False)  # (horizon,)
+    final_values: np.ndarray = field(init=False)  # (runs,)
 
     def __post_init__(self):
         if len(self.traces) != self.spec.runs:
             raise ValueError(f"{len(self.traces)} traces for {self.spec.runs} runs")
+        curves = self.curves
+        object.__setattr__(self, "spec_hash", campaign_spec_hash(self.spec))
+        for name, value in (("mean_curve", curves.mean(axis=0)),
+                            ("final_values", curves[:, -1].copy())):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def curves(self) -> np.ndarray:
+        """Each run's cumulative curve cut or padded to the horizon, rebuilt on access."""
         curves = np.stack([extend_curve(t.cumulative, self.spec.horizon) for t in self.traces])
         curves.setflags(write=False)
-        object.__setattr__(self, "spec_hash", campaign_spec_hash(self.spec))
-        object.__setattr__(self, "curves", curves)
-
-    @property
-    def mean_curve(self) -> np.ndarray:
-        """Mean cumulative curve over the runs, shape (horizon,)."""
-        return self.curves.mean(axis=0)
-
-    @property
-    def final_values(self) -> np.ndarray:
-        """Each run's horizon-limited final value, shape (runs,); read-only."""
-        return self.curves[:, -1]
+        return curves
 
     final_median_db = _final_stat("final_median_db")
     final_mean_db = _final_stat("final_mean_db")

@@ -221,10 +221,11 @@ def _atomic_write(path: PathLike, chunks: Iterable[str]) -> None:
 
 def _header_lines(header: Mapping[str, str]) -> list[str]:
     """``# key: value`` lines; refuses an entry the readers would not give back: the
-    ``columns`` key, a key holding ``:`` or edge whitespace or a line break in either."""
+    ``columns`` key, a key holding ``:``, or edge whitespace or a line break in either."""
     lines = [f"# {key}: {value}" for key, value in header.items()]
-    for key, line in zip(map(str, header), lines):
-        if key != key.strip() or key == "columns" or ":" in key or line.splitlines() != [line]:
+    for (key, value), line in zip(header.items(), lines):
+        if (line != f"# {str(key).strip()}: {str(value).strip()}" or key == "columns"
+                or ":" in str(key) or line.splitlines() != [line]):
             raise ValueError(f"header entry {line[2:]!r} cannot be read back")
     return lines
 
@@ -312,10 +313,14 @@ def _read_table(
 
 @dataclass(frozen=True)
 class LoadedTrace:
+    """A trace file's header and ``evaluated_db`` column; ``iteration`` (1..N) and
+    ``cumulative_db`` (the running minimum the file's column was checked against)
+    are derived on access."""
+
     header: dict[str, str]
-    iteration: np.ndarray
     evaluated_db: np.ndarray
-    cumulative_db: np.ndarray
+    iteration = property(lambda self: np.arange(1, self.evaluated_db.size + 1))
+    cumulative_db = property(lambda self: np.minimum.accumulate(self.evaluated_db))
 
 
 def write_trace(
@@ -337,8 +342,9 @@ def write_trace(
         if str(key).strip() in TRACE_KEYS:
             raise ValueError(f"header entry {key!r} clashes with a key write_trace derives")
         meta[str(key)] = str(value)
-    rows = (f"{i},{fmt_float(ev)},{fmt_float(cu)}"
-            for i, (ev, cu) in enumerate(zip(trace.evaluated, trace.cumulative), start=1))
+    cu = np.inf  # the running minimum, streamed; a tie takes the later value, as numpy's does
+    rows = (f"{i},{fmt_float(ev)},{fmt_float(cu := ev if ev <= cu else cu)}"
+            for i, ev in enumerate(trace.evaluated, start=1))
     _write_table(path, TRACE_MAGIC, meta, TRACE_COLUMNS, rows)
 
 
@@ -346,11 +352,10 @@ def read_trace(path: PathLike) -> LoadedTrace:
     """Load a trace table; rejects tampered cumulative columns and a header
     whose ``iterations_total`` or ``final_db`` disagrees with the rows."""
     header, data = _read_table(path, TRACE_MAGIC, TRACE_COLUMNS)
-    iteration = data[:, 0].astype(np.int64)
-    evaluated = data[:, 1]
-    cumulative = data[:, 2]
-    if not np.array_equal(iteration, np.arange(1, data.shape[0] + 1)):
+    if not np.array_equal(data[:, 0], np.arange(1, data.shape[0] + 1)):
         raise TraceIntegrityError(f"{path}: iteration column must count 1..N")
+    evaluated = data[:, 1].copy()  # so the (rows, 3) table is freed on return
+    cumulative = data[:, 2]
     expected = np.minimum.accumulate(evaluated)
     if not np.array_equal(cumulative, expected):
         bad = int(np.nonzero(cumulative != expected)[0][0])
@@ -364,7 +369,7 @@ def read_trace(path: PathLike) -> LoadedTrace:
             raise TraceIntegrityError(
                 f"{path}: {key} is {header.get(key)} but the rows give {expected}"
             )
-    return LoadedTrace(header, iteration, evaluated, cumulative)
+    return LoadedTrace(header, evaluated)
 
 
 # --------------------------------------------------------------------------
@@ -475,7 +480,7 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
         raise TraceIntegrityError(f"{path}: iteration column must count 1..horizon")
     # each run's curve is non-increasing and the runs are summed in a fixed
     # order, so the mean can only fall (rounding is monotone); NaN fails too
-    curve = data[:, 1]
+    curve = data[:, 1].copy()  # so the (rows, 2) table is freed on return
     rises = np.flatnonzero(~(curve[1:] <= curve[:-1]))
     if rises.size:
         raise TraceIntegrityError(

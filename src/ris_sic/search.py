@@ -54,9 +54,9 @@ class EvaluationError(RuntimeError):
 class ConvergenceTrace:
     """Per-evaluation history of one search run.
 
-    ``evaluated[i]`` is the reading of the i-th evaluated configuration.  The
-    trace derives ``cumulative``, its running minimum (the best reading after
-    i+1 evaluations), and ``iterations_total``, its length.
+    ``evaluated[i]`` is the reading of the i-th evaluated configuration, the one
+    array stored.  The trace derives ``iterations_total``, its length, and on each
+    access ``cumulative``, its running minimum (the best after i+1 evaluations).
     """
 
     algorithm: str
@@ -66,7 +66,6 @@ class ConvergenceTrace:
     buffer_size: Optional[int] = None
     stall_limit: Optional[int] = None
     wall_time_s: float = 0.0
-    cumulative: np.ndarray = field(init=False)
     iterations_total: int = field(init=False)
 
     def __post_init__(self):
@@ -79,10 +78,15 @@ class ConvergenceTrace:
         if self.best_reading.magnitude_db != cu[-1]:
             raise ValueError("best_reading does not match the final cumulative value")
         ev.setflags(write=False)
-        cu.setflags(write=False)
         object.__setattr__(self, "evaluated", ev)
-        object.__setattr__(self, "cumulative", cu)
         object.__setattr__(self, "iterations_total", ev.size)
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        """The running minimum of ``evaluated``; read-only."""
+        cu = np.minimum.accumulate(self.evaluated)
+        cu.setflags(write=False)
+        return cu
 
 
 class _Recorder:

@@ -67,6 +67,9 @@ class TestResonanceBits:
         [
             ((FC,), "0x1.2cf08e753f408p+32", "0x1.55009a0ac0bf8p+32"),
             ((FC, 160.0, 6.0), "0x1.2a9211f76c7ebp+32", "0x1.575f168893814p+32"),
+            # a zero amplitude leaves the solve alone; its check once read 0 deg
+            ((FC, 180.0, 8.0, 0.0), "0x1.2cf08e753f408p+32", "0x1.55009a0ac0bf8p+32"),
+            ((FC, 160.0, 6.0, 0.85, 0.0), "0x1.2a9211f76c7ebp+32", "0x1.575f168893814p+32"),
         ],
     )
     def test_resonances_are_pinned(self, args, on_hex, off_hex):

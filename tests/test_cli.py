@@ -43,6 +43,16 @@ class TestValidate:
         assert run_cli("validate", "--scene", small_scene_file) == 0
         assert "4x4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("amplitudes", [(0.0, 0.92), (0.85, 0.0)])
+    def test_zero_amplitude_cell(self, tmp_path, amplitudes, capsys):
+        p = default_scene_params()
+        p = replace(p, geometry=replace(p.geometry, nx=4, ny=4),
+                    cell=replace(p.cell, amplitude_on=amplitudes[0], amplitude_off=amplitudes[1]))
+        path = tmp_path / "zero.ini"
+        sceneio.write_scene(p, path)
+        assert run_cli("validate", "--scene", path) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_missing_file_is_domain_error(self, capsys):
         rc = run_cli("validate", "--scene", "no_such_file.ini")
         assert rc == 2
@@ -295,6 +305,18 @@ class TestSnapshot:
                      "--span", span, "--points", 5, "--out", out)
         assert rc == 2
         assert "positive-frequency span" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_path_that_cannot_be_recorded_is_domain_error(
+            self, small_scene_file, tmp_path, capsys):
+        # the header reader strips edge whitespace, so "c.txt " would read back as "c.txt"
+        config_file = tmp_path / "c.txt "
+        config_file.write_text("# ris-sic config v1\n0101\n1010\n0011\n1100\n")
+        out = tmp_path / "s.csv"
+        rc = run_cli("snapshot", "--scene", small_scene_file, "--config", config_file,
+                     "--points", 5, "--out", out)
+        assert rc == 2
+        assert "cannot be read back" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_mismatch_is_domain_error(self, small_scene_file, tmp_path, capsys):

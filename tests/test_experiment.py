@@ -1,5 +1,6 @@
 """Campaign orchestration, bandwidth sweeps, and spectrum snapshots."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,8 @@ from ris_sic.experiment import (
     run_campaign,
     transfer_snapshot,
 )
-from ris_sic.search import greedy_optimize
+from ris_sic.model import RisConfig, SiReading
+from ris_sic.search import ConvergenceTrace, greedy_optimize
 
 
 def small_spec(small_params, **kw):
@@ -174,9 +176,29 @@ class TestRunCampaign:
         assert again.spec_hash == res.spec_hash
         assert not res.curves.flags.writeable and not res.final_values.flags.writeable
 
+    def test_result_keeps_no_curves(self, small_params):
+        # the (runs, horizon) curves are rebuilt on access: 20 x 5,000 would hold 781 KiB
+        spec = small_spec(small_params, runs=20, horizon=5000)
+        rng = np.random.default_rng(1)
+        traces = []
+        for size in rng.integers(100, 6000, spec.runs):
+            ev = -40.0 - 30.0 * rng.random(size)
+            best = SiReading.from_per_point([ev.min()])
+            traces.append(ConvergenceTrace("random", ev, RisConfig.all_off(4, 4), best))
+        tracemalloc.start()
+        try:
+            res = CampaignResult(spec=spec, traces=tuple(traces), created_utc="")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 64 << 10
+        np.testing.assert_array_equal(res.mean_curve, res.curves.mean(axis=0))
+        np.testing.assert_array_equal(res.final_values, res.curves[:, -1])
+
     def test_derived_fields_are_not_arguments(self, small_params):
         res = run_campaign(small_spec(small_params))
-        for extra in ({"spec_hash": res.spec_hash}, {"curves": res.curves}):
+        for extra in ({"spec_hash": res.spec_hash}, {"curves": res.curves},
+                      {"mean_curve": res.mean_curve}, {"final_values": res.final_values}):
             with pytest.raises(TypeError):
                 CampaignResult(spec=res.spec, traces=res.traces, created_utc="", **extra)
 

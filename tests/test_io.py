@@ -231,6 +231,13 @@ class TestTraceFiles:
         assert loaded.header["seed"] == "7"
         assert loaded.header["final_db"] == "-inf"
 
+    def test_signed_zero_rows(self, tmp_path):
+        # the running minimum keeps the later of two equal readings, as numpy does
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([0.0, -0.0, 0.0]), path)
+        rows = path.read_text().splitlines()[-3:]
+        assert rows == ["1,0.0,0.0", "2,-0.0,-0.0", "3,0.0,0.0"]
+
     def test_round_trip_with_null_readings(self, tmp_path):
         tr = make_trace([-40.0, float("-inf"), -50.0])
         path = tmp_path / "t.csv"
@@ -252,16 +259,19 @@ class TestTraceFiles:
     def test_tampered_iteration_detected(self, tmp_path):
         tr = make_trace([-40.0, -42.0])
         path = tmp_path / "t.csv"
-        write_trace(tr, path)
-        path.write_text(path.read_text().replace("2,", "5,"))
-        with pytest.raises(TraceIntegrityError, match="1..N"):
-            read_trace(path)
+        # a fractional count once loaded, cut to the integer it starts with
+        for count in ("5", "2.9"):
+            write_trace(tr, path)
+            path.write_text(path.read_text().replace("2,", f"{count},"))
+            with pytest.raises(TraceIntegrityError, match="1..N"):
+                read_trace(path)
 
     # each of these wrote a file at one time: the first two failed to load
     # ("unexpected columns", "missing '# columns:' line"), the third read back
     # as {"a": "b: v"}, the rest overrode what the trace itself records
     @pytest.mark.parametrize("header", [
         {"columns": "x"}, {"a": "a\nb"}, {"a:b": "v"}, {"a\nb": "v"}, {"a": "a\rb"},
+        {"a": "v "}, {"a": " v"},
         *({key: "1"} for key in ("algorithm", "buffer_size", "stall_limit",
                                  "iterations_total", "final_db")),
     ], ids=lambda header: repr(*header))
@@ -564,11 +574,11 @@ class TestAtomicity:
         assert read_trace(path).evaluated_db.size == 3
 
 
-def traced_peak(fn):
-    """(result, peak bytes traced while ``fn`` runs)."""
+def traced_memory(fn):
+    """(result, bytes traced and still held once ``fn`` returns, peak bytes)."""
     tracemalloc.start()
     try:
-        return fn(), tracemalloc.get_traced_memory()[1]
+        return fn(), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -582,12 +592,13 @@ class TestBoundedMemory:
         ev = -40.0 - 60.0 * np.random.default_rng(4).random(self.ROWS)
         trace = make_trace(ev)
         path = tmp_path / "t.csv"
-        _, write_peak = traced_peak(lambda: write_trace(trace, path))
+        _, _, write_peak = traced_memory(lambda: write_trace(trace, path))
         assert write_peak < 1 << 20
-        loaded, read_peak = traced_peak(lambda: read_trace(path))
+        loaded, held, read_peak = traced_memory(lambda: read_trace(path))
         returned = sum(a.nbytes for a in (loaded.iteration, loaded.evaluated_db,
                                           loaded.cumulative_db))
         assert read_peak < 2 * returned
+        assert held <= 9 * self.ROWS  # the reading column, not the parsed table
         assert loaded.evaluated_db.tobytes() == trace.evaluated.tobytes()
 
 
