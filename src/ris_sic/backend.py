@@ -14,7 +14,7 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from . import channel
-from .model import FrequencyGrid, RisConfig, SiReading
+from .model import RisConfig, SiReading
 
 
 @runtime_checkable
@@ -27,10 +27,6 @@ class EvaluationBackend(Protocol):
 
     def dims(self) -> tuple[int, int]:
         """Surface dimensions (nx, ny) the backend expects."""
-        ...
-
-    def grid(self) -> FrequencyGrid:
-        """Frequency grid the readings are taken on."""
         ...
 
 
@@ -64,6 +60,3 @@ class SimulatedBackend:
 
     def dims(self) -> tuple[int, int]:
         return (self._scene.nx, self._scene.ny)
-
-    def grid(self) -> FrequencyGrid:
-        return self._scene.grid

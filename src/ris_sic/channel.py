@@ -43,10 +43,9 @@ import numpy as np
 
 from .budget import _fspl_db
 from .cell import UnitCellModel, _immutable
-from .model import FrequencyGrid, RisConfig
+from .model import DEFAULT_CENTER_HZ, FrequencyGrid, GridSpec, RisConfig
 from .units import C0_M_PER_S, db_to_linear
 
-DEFAULT_CENTER_HZ = 5.385e9
 FREQ_BLOCK = 1 << 13  # (N, K) channel terms alive at once in channels_at and snapshots
 _PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, table, rows)
 
@@ -127,32 +126,6 @@ class ClutterParams(_FiniteFloats):
     @property
     def enabled(self) -> bool:
         return self.relative_power_db != float("-inf")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    center_hz: float = DEFAULT_CENTER_HZ
-    bandwidth_hz: float = 0.0
-    points: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.center_hz) and self.center_hz > 0.0):
-            raise ValueError(f"center_hz must be positive and finite, got {self.center_hz}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
-            raise ValueError(
-                f"bandwidth_hz must be non-negative and finite, got {self.bandwidth_hz}"
-            )
-        if self.bandwidth_hz == 0.0 and self.points != 1:
-            raise ValueError("narrowband grid (bandwidth 0) must have exactly 1 point")
-        if self.bandwidth_hz > 0.0 and self.points < 2:
-            raise ValueError("wideband grid needs points >= 2")
-        if self.bandwidth_hz >= 2.0 * self.center_hz:
-            raise ValueError("bandwidth exceeds the positive-frequency span")
-
-    def to_grid(self) -> FrequencyGrid:
-        if self.bandwidth_hz == 0.0:
-            return FrequencyGrid.narrowband(self.center_hz)
-        return FrequencyGrid.wideband(self.center_hz, self.bandwidth_hz, self.points)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .backend import SimulatedBackend
 from .channel import (
-    GridSpec, Scene, SceneParams, _amplitude_db, _check_dims, build_scene, freq_blocks,
-    transfer_vector,
+    Scene, SceneParams, _amplitude_db, _check_dims, build_scene, freq_blocks, transfer_vector,
 )
-from .model import RisConfig
+from .model import GridSpec, RisConfig
 from .search import ConvergenceTrace, greedy_optimize, random_search
 from .sceneio import FINAL_STATS, flatten_campaign_spec, now_utc
 
@@ -205,7 +204,7 @@ def transfer_snapshot(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|H| in dB on a dense frequency axis about the scene center.
 
-    The axis is built exactly like a wideband evaluation grid, so when
+    The axis is the wideband :class:`~ris_sic.model.GridSpec`'s, so when
     ``span_hz``/``points`` equal the scene grid's span and size the sampled
     frequencies — and therefore the dB values — coincide bit-exactly with the
     per-point readings of :func:`ris_sic.channel.si_per_point_db`.  The axis is
@@ -216,8 +215,7 @@ def transfer_snapshot(
     if not 0.0 < span_hz < 2.0 * scene.grid.center_hz:
         raise ValueError(f"span {span_hz} Hz is not inside the positive-frequency span")
     _check_dims(scene, config)
-    center = scene.grid.center_hz
-    freqs = np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)
+    freqs = GridSpec(scene.grid.center_hz, span_hz, points).axis()
     flat, si_db = config.flat(), np.empty(points)
     for b in freq_blocks(scene.n_elements, points):  # memory: one block plus the output
         direct, h, g = scene.channels_at(freqs[b])

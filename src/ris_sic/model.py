@@ -81,69 +81,72 @@ class RisConfig:
         return f"RisConfig({self.nx}x{self.ny}, {int(self.states.sum())} on)"
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyGrid:
-    """Ordered evaluation frequencies with a designated center.
+DEFAULT_CENTER_HZ = 5.385e9
 
-    A narrowband grid has exactly one point, equal to the center.  A wideband
-    grid has K >= 2 equidistant points symmetric about the center.
-    """
 
-    points: np.ndarray
-    center_hz: float
+@dataclass(frozen=True)
+class GridSpec:
+    """The objective's frequency grid, and the one place its values are checked: the
+    single point ``center_hz`` at bandwidth 0, else ``points`` distinct float64
+    frequencies, equidistant over ``bandwidth_hz`` and symmetric about the center."""
+
+    center_hz: float = DEFAULT_CENTER_HZ
+    bandwidth_hz: float = 0.0
+    points: int = 1
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 1:
-            raise ValueError("grid needs at least one frequency point")
-        if np.any(pts <= 0.0):
-            raise ValueError("grid frequencies must be positive")
-        if pts.size > 1:
-            if np.any(np.diff(pts) <= 0.0):
-                raise ValueError("grid frequencies must be strictly increasing")
-            steps = np.diff(pts)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("wideband grid points must be equidistant")
-            mid = 0.5 * (pts[0] + pts[-1])
-            if abs(mid - self.center_hz) > 1e-6 * self.center_hz:
-                raise ValueError("wideband grid must be symmetric about the center")
-        elif pts[0] != self.center_hz:
-            raise ValueError("narrowband grid's single point must equal the center")
+        if not (math.isfinite(self.center_hz) and self.center_hz > 0.0):
+            raise ValueError(f"center_hz must be positive and finite, got {self.center_hz}")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
+            raise ValueError(
+                f"bandwidth_hz must be non-negative and finite, got {self.bandwidth_hz}"
+            )
+        if self.bandwidth_hz == 0.0 and self.points != 1:
+            raise ValueError("narrowband grid (bandwidth 0) must have exactly 1 point")
+        if self.bandwidth_hz > 0.0 and self.points < 2:
+            raise ValueError("wideband grid needs points >= 2")
+        if self.bandwidth_hz >= 2.0 * self.center_hz:
+            raise ValueError("bandwidth exceeds the positive-frequency span")
+        if self.points > 1 and not np.all(np.diff(self.axis()) > 0.0):
+            raise ValueError(f"the {self.points} points must be distinct float64 frequencies")
+
+    def axis(self) -> np.ndarray:
+        """The grid's frequencies, computed afresh: ``[center]`` or an equidistant ``linspace``."""
+        if self.points == 1:
+            return np.array([self.center_hz])
+        return np.linspace(self.center_hz - self.bandwidth_hz / 2.0,
+                           self.center_hz + self.bandwidth_hz / 2.0, self.points)
+
+    def to_grid(self) -> "FrequencyGrid":
+        return FrequencyGrid(self)
+
+
+@dataclass(frozen=True)
+class FrequencyGrid:
+    """A :class:`GridSpec`'s frequency axis, computed once: ``points`` is read-only and
+    owns its data (a ``linspace`` does not), so the kernel caches may store what
+    they compute on it.  Equality and hashing are the spec's."""
+
+    spec: GridSpec
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.array(self.spec.axis())
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def narrowband(cls, center_hz: float) -> "FrequencyGrid":
-        return cls(np.array([center_hz]), center_hz)
+        return cls(GridSpec(center_hz))
 
     @classmethod
     def wideband(cls, center_hz: float, bandwidth_hz: float, points: int) -> "FrequencyGrid":
-        if points < 2:
-            raise ValueError(f"wideband grid needs >= 2 points, got {points}")
-        if bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-        pts = np.linspace(center_hz - bandwidth_hz / 2.0, center_hz + bandwidth_hz / 2.0, points)
-        return cls(pts, center_hz)
+        return cls(GridSpec(center_hz, bandwidth_hz, points))
 
-    @property
-    def k(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def is_narrowband(self) -> bool:
-        return self.points.size == 1
-
-    @property
-    def span_hz(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrequencyGrid):
-            return NotImplemented
-        return self.center_hz == other.center_hz and bool(np.array_equal(self.points, other.points))
-
-    def __hash__(self) -> int:
-        return hash((self.center_hz, self.points.tobytes()))
+    k = property(lambda self: self.spec.points)
+    center_hz = property(lambda self: self.spec.center_hz)
+    is_narrowband = property(lambda self: self.spec.points == 1)
+    span_hz = property(lambda self: float(self.points[-1] - self.points[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -311,7 +311,7 @@ def _read_table(
 # convergence traces
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadedTrace:
     """A trace file's header and ``evaluated_db`` column; ``iteration`` (1..N) and
     ``cumulative_db`` (the running minimum the file's column was checked against)
@@ -417,7 +417,7 @@ def read_config_grid(path: PathLike) -> RisConfig:
 # campaigns
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadedCampaign:
     spec: "CampaignSpec"
     spec_hash: str

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ris_sic.model import FrequencyGrid, RisConfig, SiReading
+from ris_sic.model import RisConfig, SiReading
 
 
 class FuzzOutcome(NamedTuple):
@@ -42,9 +42,6 @@ class HashBackend:
     def dims(self):
         return (self._nx, self._ny)
 
-    def grid(self):
-        return FrequencyGrid.narrowband(5.385e9)
-
 
 class FlatBackend:
     """Constant objective: nothing ever improves after the first evaluation."""
@@ -60,9 +57,6 @@ class FlatBackend:
 
     def dims(self):
         return (self._nx, self._ny)
-
-    def grid(self):
-        return FrequencyGrid.narrowband(5.385e9)
 
 
 class FailingBackend:
@@ -81,9 +75,6 @@ class FailingBackend:
 
     def dims(self):
         return self._inner.dims()
-
-    def grid(self):
-        return self._inner.grid()
 
 
 def check_optimizer_invariants(opt) -> int:

@@ -21,7 +21,6 @@ def test_simulated_backend_matches_channel_evaluation():
 def test_dims_and_grid(small_scene):
     backend = SimulatedBackend(small_scene)
     assert backend.dims() == (4, 4)
-    assert backend.grid() == small_scene.grid
     assert backend.scene is small_scene
     assert backend.noise_floor_db is None
 

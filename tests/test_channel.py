@@ -26,9 +26,10 @@ from ris_sic.channel import (
     transfer_vector,
 )
 from ris_sic.model import RisConfig
+from ris_sic.sceneio import SceneFormatError, parse_scene_text
 from ris_sic.units import db_to_linear
 
-from conftest import synthetic_scene
+from conftest import edited_scene_text, synthetic_scene
 
 FC = 5.385e9
 NO_CLUTTER = ClutterParams(relative_power_db=float("-inf"))
@@ -168,9 +169,14 @@ class TestGridSpec:
         grid = GridSpec(FC, 0.0, 1).to_grid()
         assert grid.is_narrowband and grid.points[0] == FC
 
-    def test_wideband_roundtrip(self):
+    def test_wideband_roundtrip(self, small_params):
         grid = GridSpec(FC, 10e6, 11).to_grid()
         assert grid.k == 11 and grid.span_hz == pytest.approx(10e6)
+        # narrow spans whose linspace steps differ by more than 1e-9 relative
+        for bandwidth, points in ((1000.0, 10001), (1.0, 11)):
+            scene = build_scene(replace(small_params, grid=GridSpec(FC, bandwidth, points)))
+            np.testing.assert_array_equal(scene.grid.points, np.linspace(
+                FC - bandwidth / 2.0, FC + bandwidth / 2.0, points))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,6 +189,13 @@ class TestGridSpec:
             GridSpec(FC, -5e6, 3)
         with pytest.raises(ValueError):
             GridSpec(FC, 3 * FC, 5)
+        with pytest.raises(ValueError, match="distinct float64"):
+            GridSpec(FC, 0.001, 10001)  # 0.1 uHz steps repeat float64 frequencies
+        # a scene file reports it at its points line
+        text = edited_scene_text("bandwidth_hz", "0.001").replace("points = 1", "points = 10001")
+        lineno = text.splitlines().index("points = 10001") + 1
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: .*distinct float64"):
+            parse_scene_text(text, source="doc.ini")
 
     @pytest.mark.parametrize("center, bandwidth, points", [
         (float("inf"), 0.0, 1), (float("nan"), 0.0, 1),

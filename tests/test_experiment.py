@@ -263,7 +263,7 @@ class TestBandwidthSweep:
 
 
 class TestTransferSnapshot:
-    def test_grid_coincidence_is_exact(self, wideband_scene):
+    def test_grid_coincidence_is_exact(self, wideband_scene, wideband_params):
         # span/points equal to the evaluation grid -> identical frequencies
         # and bit-identical dB values
         from ris_sic.model import RisConfig
@@ -272,10 +272,16 @@ class TestTransferSnapshot:
         # arrays; the readings use the memoised tables of the scene
         rng = np.random.default_rng(12)
         configs = [RisConfig.all_on(4, 4)] + [RisConfig(rng.random((4, 4)) < 0.5) for _ in range(8)]
-        for config in configs:
-            freqs, si = transfer_snapshot(wideband_scene, config, 10e6, 11)
-            np.testing.assert_array_equal(freqs, wideband_scene.grid.points)
-            np.testing.assert_array_equal(si, si_per_point_db(wideband_scene, config))
+        # odd K, even K, and a span narrow enough that the steps are not equidistant
+        scenes = [wideband_scene] + [
+            build_scene(replace(wideband_params, grid=GridSpec(5.385e9, span, k)))
+            for span, k in ((10e6, 10), (1.0, 11))]
+        for scene in scenes:
+            for config in configs:
+                freqs, si = transfer_snapshot(scene, config, scene.grid.spec.bandwidth_hz,
+                                              scene.grid.k)
+                np.testing.assert_array_equal(freqs, scene.grid.points)
+                np.testing.assert_array_equal(si, si_per_point_db(scene, config))
 
     def test_narrowband_optimum_sits_near_center(self, default_scene):
         # a deep converged narrowband null is carved at the carrier; the

@@ -230,6 +230,8 @@ class TestTraceFiles:
         assert loaded.header["algorithm"] == "greedy"
         assert loaded.header["seed"] == "7"
         assert loaded.header["final_db"] == "-inf"
+        # identity equality, as for the in-memory trace: no element-wise array compare
+        assert loaded == loaded and (loaded == read_trace(path)) is False
 
     def test_signed_zero_rows(self, tmp_path):
         # the running minimum keeps the later of two equal readings, as numpy does
@@ -420,6 +422,7 @@ class TestCampaignFiles:
         assert loaded.spec_hash == result.spec_hash
         np.testing.assert_array_equal(loaded.mean_curve_db, result.mean_curve)
         np.testing.assert_array_equal(loaded.final_values_db, result.final_values)
+        assert loaded == loaded and (loaded == read_campaign(path)) is False
 
     def test_edited_header_detected(self, tmp_path, result):
         path = tmp_path / "c.csv"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ris_sic.backend import SimulatedBackend
 from ris_sic.channel import si_per_point_db
-from ris_sic.model import FrequencyGrid, RisConfig, SiReading
+from ris_sic.model import RisConfig, SiReading
 from ris_sic.search import (
     EXHAUSTIVE_BLOCK,
     EXHAUSTIVE_LIMIT,
@@ -205,9 +205,6 @@ class TiedBackend:
 
     def dims(self):
         return (self._nx, self._ny)
-
-    def grid(self):
-        return self._inner.grid()
 
 
 class TestBufferInsertion:
@@ -414,11 +411,6 @@ class TestExhaustiveSearch:
             def dims(self):
                 return (2, 2)
 
-            def grid(self):
-                from ris_sic.model import FrequencyGrid
-
-                return FrequencyGrid.narrowband(5.385e9)
-
         best_config, best_si = exhaustive_search(ParityBackend())
         assert best_si.magnitude_db == -50.0
         # code 0 (all OFF) is the first even-parity state enumerated
@@ -440,9 +432,6 @@ class TestExhaustiveSearch:
 
             def dims(self):
                 return (1, n)
-
-            def grid(self):
-                return FrequencyGrid.narrowband(5.385e9)
 
         backend = RecordingBackend()
         best_config, best_si = exhaustive_search(backend)
