@@ -36,6 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import Checked, bounded
+
+_SPLIT_BRACKET = (1e-12, 1.0 - 1e-9)  # resonance splits the solve searches
+
 
 def _immutable(*arrays) -> bool:
     """Read-only ndarrays owning their data: the one condition for a kernel cache to store."""
@@ -120,7 +124,26 @@ def _split_phase_gap_rad(split: float, quality_factor: float) -> float:
 
 
 @dataclass(frozen=True)
-class UnitCellModel:
+class CellParams(Checked):
+    """The scene's ``[cell]`` section: each state's reflection magnitude (a passive
+    surface reflects at most what it receives) and the ON/OFF phase difference
+    :meth:`UnitCellModel.with_phase_target` solves for at ``quality_factor``."""
+
+    amplitude_on: float = bounded(0.85, ge=0.0, le=1.0)
+    amplitude_off: float = bounded(0.92, ge=0.0, le=1.0)
+    phase_target_deg: float = bounded(180.0, gt=0.0, le=180.0)
+    quality_factor: float = bounded(8.0, gt=0.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        target_rad = math.radians(self.phase_target_deg)
+        if _split_phase_gap_rad(_SPLIT_BRACKET[1], self.quality_factor) < target_rad:
+            raise ValueError(f"phase target {self.phase_target_deg} deg unreachable with "
+                             f"quality factor {self.quality_factor}")
+
+
+@dataclass(frozen=True)
+class UnitCellModel(Checked):
     """Parametric two-state reflection coefficient of one surface element.
 
     Construct via :meth:`with_phase_target` to have the two resonance
@@ -129,21 +152,14 @@ class UnitCellModel:
     allowed for experimentation.
     """
 
-    amplitude_on: float
-    amplitude_off: float
-    resonance_on_hz: float
-    resonance_off_hz: float
-    quality_factor: float
+    amplitude_on: float = bounded(ge=0.0, le=1.0)
+    amplitude_off: float = bounded(ge=0.0, le=1.0)
+    resonance_on_hz: float = bounded(gt=0.0)
+    resonance_off_hz: float = bounded(gt=0.0)
+    quality_factor: float = bounded(gt=0.0)
 
     def __post_init__(self):
-        for name in ("amplitude_on", "amplitude_off"):
-            a = getattr(self, name)
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1] for a passive surface, got {a}")
-        if self.resonance_on_hz <= 0.0 or self.resonance_off_hz <= 0.0:
-            raise ValueError("resonance frequencies must be positive")
-        if self.quality_factor <= 0.0:
-            raise ValueError(f"quality_factor must be positive, got {self.quality_factor}")
+        super().__post_init__()
         # Not a dataclass field: equality, hashing and repr ignore it.
         object.__setattr__(self, "_reflection_memo", {})
 
@@ -151,37 +167,22 @@ class UnitCellModel:
     def with_phase_target(
         cls,
         center_hz: float,
-        phase_target_deg: float = 180.0,
-        quality_factor: float = 8.0,
-        amplitude_on: float = 0.85,
-        amplitude_off: float = 0.92,
+        phase_target_deg: float = CellParams.phase_target_deg,
+        quality_factor: float = CellParams.quality_factor,
+        amplitude_on: float = CellParams.amplitude_on,
+        amplitude_off: float = CellParams.amplitude_off,
     ) -> "UnitCellModel":
         """Solve the two resonances for a phase difference at the center frequency.
 
+        The four cell values are checked as the :class:`CellParams` they form.
         The resonances are placed symmetrically at ``center * (1 -/+ split)``
         and the split is solved numerically; the achieved difference is checked
         to within 1 degree.
         """
-        if center_hz <= 0.0:
-            raise ValueError(f"center frequency must be positive, got {center_hz}")
-        if not 0.0 < phase_target_deg <= 180.0:
-            raise ValueError(
-                f"phase_target_deg must lie in (0, 180], got {phase_target_deg}"
-            )
+        CellParams(amplitude_on, amplitude_off, phase_target_deg, quality_factor)
         target_rad = math.radians(phase_target_deg)
-        lo, hi = 1e-12, 1.0 - 1e-9
-        if _split_phase_gap_rad(hi, quality_factor) < target_rad:
-            raise ValueError(
-                f"phase target {phase_target_deg} deg unreachable with "
-                f"quality factor {quality_factor}"
-            )
-        split = _brentq(
-            lambda s: _split_phase_gap_rad(s, quality_factor) - target_rad,
-            lo,
-            hi,
-            xtol=1e-15,
-            rtol=1e-14,
-        )
+        split = _brentq(lambda s: _split_phase_gap_rad(s, quality_factor) - target_rad,
+                        *_SPLIT_BRACKET, xtol=1e-15, rtol=1e-14)
         cell = cls(
             amplitude_on=amplitude_on,
             amplitude_off=amplitude_off,

@@ -36,14 +36,14 @@ with the number of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .budget import _fspl_db
-from .cell import UnitCellModel, _immutable
-from .model import DEFAULT_CENTER_HZ, FrequencyGrid, GridSpec, RisConfig
+from .cell import CellParams, UnitCellModel, _immutable
+from .model import DEFAULT_CENTER_HZ, Checked, FrequencyGrid, GridSpec, RisConfig, bounded
 from .units import C0_M_PER_S, db_to_linear
 
 FREQ_BLOCK = 1 << 13  # (N, K) channel terms alive at once in channels_at and snapshots
@@ -51,77 +51,35 @@ _PATH_TERMS_LAST: tuple = (None,) * 6  # (h, g, gamma_on, gamma_off, table, rows
 
 
 # --------------------------------------------------------------------------
-# scene parameters (mirrors the scene-file sections, see ris_sic.sceneio)
+# scene parameters: the scene-file sections, see ris_sic.sceneio ([cell] is
+# ris_sic.cell's CellParams and [grid] is ris_sic.model's GridSpec)
 # --------------------------------------------------------------------------
 
-class _FiniteFloats:
-    """Rejects every float field that is not finite, bar ``-inf`` in ``NEG_INF_OK``."""
-
-    NEG_INF_OK = ()  # names of fields that may be -inf
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is float and not math.isfinite(value) and not (
-                    value == -math.inf and f.name in self.NEG_INF_OK):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
-class Geometry(_FiniteFloats):
-    nx: int = 16
-    ny: int = 16
-    pitch_m: float = C0_M_PER_S / (2.0 * DEFAULT_CENTER_HZ)
-    antenna_distance_m: float = 1.0
-    antenna_separation_m: float = 0.025
+class Geometry(Checked):
+    nx: int = bounded(16, ge=1)
+    ny: int = bounded(16, ge=1)
+    pitch_m: float = bounded(C0_M_PER_S / (2.0 * DEFAULT_CENTER_HZ), gt=0.0)
+    antenna_distance_m: float = bounded(1.0, gt=0.0)
+    antenna_separation_m: float = bounded(0.025, ge=0.0)
     tx_gain_dbi: float = 3.0
     rx_gain_dbi: float = 3.0
     element_gain_dbi: float = 2.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError(f"surface dimensions must be >= 1, got {self.nx}x{self.ny}")
-        if self.pitch_m <= 0.0:
-            raise ValueError(f"pitch_m must be positive, got {self.pitch_m}")
-        if self.antenna_distance_m <= 0.0:
-            raise ValueError(
-                f"antenna_distance_m must be positive, got {self.antenna_distance_m}"
-            )
-        if self.antenna_separation_m < 0.0:
-            raise ValueError("antenna_separation_m must be non-negative")
-
 
 @dataclass(frozen=True)
-class CellParams(_FiniteFloats):
-    amplitude_on: float = 0.85
-    amplitude_off: float = 0.92
-    phase_target_deg: float = 180.0
-    quality_factor: float = 8.0
-
-
-@dataclass(frozen=True)
-class Calibration(_FiniteFloats):
+class Calibration(Checked):
     alpha_iso_db: float = 44.0
     p_tx_dbm: float = 10.0
 
 
 @dataclass(frozen=True)
-class ClutterParams(_FiniteFloats):
+class ClutterParams(Checked):
     relative_power_db: float = -14.0  # -inf disables clutter entirely
-    delay_spread_s: float = 30e-9
-    taps: int = 8
-    seed: int = 101
+    delay_spread_s: float = bounded(30e-9, ge=0.0)
+    taps: int = bounded(8, ge=1)
+    seed: int = bounded(101, ge=0)
     NEG_INF_OK = ("relative_power_db",)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.taps < 1:
-            raise ValueError(f"taps must be >= 1, got {self.taps}")
-        if self.delay_spread_s < 0.0:
-            raise ValueError("delay_spread_s must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @property
     def enabled(self) -> bool:
@@ -258,6 +216,8 @@ class Scene:
         if h.shape != (n, k) or g.shape != (n, k):
             raise ValueError(f"h and g must have shape ({n}, {k})")
         for arr, name in ((direct, "direct"), (h, "h"), (g, "g")):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -286,13 +246,7 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
     """
     geo, cal, clu, gridspec = params.geometry, params.calibration, params.clutter, params.grid
     grid = gridspec.to_grid()
-    cell = UnitCellModel.with_phase_target(
-        center_hz=gridspec.center_hz,
-        phase_target_deg=params.cell.phase_target_deg,
-        quality_factor=params.cell.quality_factor,
-        amplitude_on=params.cell.amplitude_on,
-        amplitude_off=params.cell.amplitude_off,
-    )
+    cell = UnitCellModel.with_phase_target(gridspec.center_hz, **vars(params.cell))
 
     n = geo.nx * geo.ny
     ix, iy = np.divmod(np.arange(n), geo.ny)
@@ -337,19 +291,20 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
         clutter_amp=clutter_amp,
         **taps,
     )
-    # Calibrate the direct leakage at the center frequency only.
-    uncal = model.direct_at(np.array([gridspec.center_hz]))[0]
-    model = replace(model, direct_scale=db_to_linear(-cal.alpha_iso_db) / abs(uncal))
-
-    direct, h, g = model.channels_at(grid.points)
-    scene = Scene(grid=grid, direct=direct, h=h, g=g, cell=cell,
-                  nx=geo.nx, ny=geo.ny, channel_model=model)
-    achieved = 20.0 * math.log10(abs(model.direct_at(np.array([gridspec.center_hz]))[0]))
-    if abs(achieved + cal.alpha_iso_db) > 0.1:
+    # Calibrate the direct leakage at the center frequency only.  A leakage that
+    # underflows to 0 gives a NaN scale, which the check refuses.
+    center = np.array([gridspec.center_hz])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = db_to_linear(-cal.alpha_iso_db) / abs(model.direct_at(center)[0])
+    model = replace(model, direct_scale=scale)
+    achieved = 20.0 * math.log10(abs(model.direct_at(center)[0]))
+    if not abs(achieved + cal.alpha_iso_db) <= 0.1:
         raise RuntimeError(
             f"direct-path calibration failed: {achieved:.4f} dB vs target {-cal.alpha_iso_db} dB"
         )
-    return scene
+    direct, h, g = model.channels_at(grid.points)
+    return Scene(grid=grid, direct=direct, h=h, g=g, cell=cell,
+                 nx=geo.nx, ny=geo.ny, channel_model=model)
 
 
 # --------------------------------------------------------------------------

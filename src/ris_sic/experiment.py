@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .backend import SimulatedBackend
 from .channel import (
     Scene, SceneParams, _amplitude_db, _check_dims, build_scene, freq_blocks, transfer_vector,
 )
-from .model import GridSpec, RisConfig
+from .model import Checked, GridSpec, RisConfig, bounded
 from .search import ConvergenceTrace, greedy_optimize, random_search
 from .sceneio import FINAL_STATS, flatten_campaign_spec, now_utc
 
@@ -28,32 +28,23 @@ ALGORITHMS = ("greedy", "random")
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Checked):
     """Everything needed to reproduce a multi-run experiment bit-for-bit."""
 
     scene: SceneParams
     algorithm: str = "greedy"
-    runs: int = 100
-    master_seed: int = 0
-    horizon: int = 5000
-    buffer_size: int = 100
-    stall_limit: int = 500
+    runs: int = bounded(100, ge=1)
+    master_seed: int = bounded(0, ge=0)
+    horizon: int = bounded(5000, ge=1)
+    buffer_size: int = bounded(100, ge=2)
+    stall_limit: int = bounded(500, ge=1)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got '{self.algorithm}'"
             )
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.buffer_size < 2:
-            raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
-        if self.stall_limit < 1:
-            raise ValueError(f"stall_limit must be >= 1, got {self.stall_limit}")
         if self.algorithm == "greedy" and self.horizon < self.buffer_size:
             raise ValueError(f"greedy horizon ({self.horizon}) must cover the "
                              f"{self.buffer_size} warm-up evaluations")
@@ -129,10 +120,7 @@ class CampaignResult:
         return self.traces[self.best_run_index].best_config
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    progress: Optional[Callable[[int, ConvergenceTrace], None]] = None,
-) -> CampaignResult:
+def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Execute all runs sequentially on one shared scene.
 
     Every run stops at ``spec.horizon`` evaluations, where the campaign's
@@ -160,13 +148,7 @@ def run_campaign(
                 f"spawn key {r}) failed: {exc}"
             ) from exc
         traces.append(trace)
-        if progress is not None:
-            progress(r, trace)
-    return CampaignResult(
-        spec=spec,
-        traces=tuple(traces),
-        created_utc=now_utc(),
-    )
+    return CampaignResult(spec=spec, traces=tuple(traces), created_utc=now_utc())
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,47 @@
 """Core value types shared by the channel simulator and the optimizers.
 
 Everything here is an immutable value object: safe to share between threads,
-hashable where it makes sense, and validated on construction.
+hashable where it makes sense, and validated on construction: parameter
+dataclasses declare each field's range with :func:`bounded` for :class:`Checked`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
+
+
+def bounded(default=MISSING, *, ge=None, gt=None, le=None):
+    """A dataclass field whose value :class:`Checked` keeps ``>= ge`` or ``> gt``, and
+    ``<= le`` when given; the bounds are written in the field's type."""
+    strict = gt is not None
+    lo = gt if strict else ge
+    rule = (f"in {'(' if strict else '['}{lo}, {le}]" if le is not None
+            else f"{'>' if strict else '>='} {lo}")
+    return field(default=default, metadata={"bound": (lo, strict, le, rule)})
+
+
+class Checked:
+    """Dataclass mixin that checks every field once the object is built: a float
+    must be finite, bar ``-inf`` in a field named in ``NEG_INF_OK``, and a
+    :func:`bounded` field must lie in its range.  Each message starts with the
+    field's name, so a scene file's bad value is refused at that key's line."""
+
+    NEG_INF_OK = ()  # names of fields that may be -inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value) and not (
+                    value == -math.inf and f.name in self.NEG_INF_OK):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if "bound" in f.metadata:
+                lo, strict, hi, rule = f.metadata["bound"]
+                if (value <= lo if strict else value < lo) or (hi is not None and value > hi):
+                    raise ValueError(f"{f.name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,22 +116,17 @@ DEFAULT_CENTER_HZ = 5.385e9
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Checked):
     """The objective's frequency grid, and the one place its values are checked: the
     single point ``center_hz`` at bandwidth 0, else ``points`` distinct float64
     frequencies, equidistant over ``bandwidth_hz`` and symmetric about the center."""
 
-    center_hz: float = DEFAULT_CENTER_HZ
-    bandwidth_hz: float = 0.0
+    center_hz: float = bounded(DEFAULT_CENTER_HZ, gt=0.0)
+    bandwidth_hz: float = bounded(0.0, ge=0.0)
     points: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.center_hz) and self.center_hz > 0.0):
-            raise ValueError(f"center_hz must be positive and finite, got {self.center_hz}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
-            raise ValueError(
-                f"bandwidth_hz must be non-negative and finite, got {self.bandwidth_hz}"
-            )
+        super().__post_init__()
         if self.bandwidth_hz == 0.0 and self.points != 1:
             raise ValueError("narrowband grid (bandwidth 0) must have exactly 1 point")
         if self.bandwidth_hz > 0.0 and self.points < 2:

@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 C0_M_PER_S = 299_792_458.0
 
 NEG_INF_DB = float("-inf")
 
 
 def db_to_linear(value_db: float) -> float:
-    """Amplitude ratio for a dB value (20*log10 convention)."""
-    return 10.0 ** (value_db / 20.0)
+    """Amplitude ratio for a dB value (20*log10 convention), scalar or array.  A ratio
+    past the float range raises ``ValueError``, whatever the warning filters."""
+    try:
+        with np.errstate(over="raise"):
+            return 10.0 ** (value_db / 20.0)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"{np.max(value_db)} dB overflows the linear amplitude scale") from None
 
 
 def linear_to_db(ratio: float) -> float:

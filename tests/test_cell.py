@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris_sic.sceneio import SceneFormatError, parse_scene_text
+
+from conftest import edited_scene_text
 from ris_sic.cell import (
+    CellParams,
     UnitCellModel,
     _brentq,
     _pole_phase,
@@ -269,6 +273,29 @@ class TestReflectionMemo:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("key, value, where, message", [
+        ("amplitude_on", 1.5, "amplitude_on", r"amplitude_on must be in \[0\.0, 1\.0\], got 1\.5"),
+        ("quality_factor", 0.0, "quality_factor", r"quality_factor must be > 0\.0, got 0\.0"),
+        ("quality_factor", 1e-300, "[cell]",  # the one cross-field rule names no key
+         r"phase target 180\.0 deg unreachable with quality factor 1e-300"),
+        ("phase_target_deg", 270.0, "phase_target_deg",
+         r"phase_target_deg must be in \(0\.0, 180\.0\], got 270\.0"),
+    ])
+    def test_params_solver_and_scene_file_refuse_alike(self, key, value, where, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CellParams(**{key: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UnitCellModel.with_phase_target(FC, **{key: value})
+        text = edited_scene_text(key, repr(value))
+        lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
+                      if line.startswith(where))
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: {message}$"):
+            parse_scene_text(text, source="doc.ini")
+
+    def test_solver_defaults_are_the_scene_defaults(self):
+        assert UnitCellModel.with_phase_target(FC) == UnitCellModel.with_phase_target(
+            FC, **vars(CellParams()))
+
     def test_rejects_active_amplitudes(self):
         with pytest.raises(ValueError):
             UnitCellModel(1.2, 0.9, FC, FC * 1.01, 8.0)

@@ -74,6 +74,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("ris-sic: error:") and key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("relative_power_db", "1000000.0"), ("alpha_iso_db", "-1000000.0"),
+        ("alpha_iso_db", "1000000.0"), ("tx_gain_dbi", "1000000.0"),
+    ])
+    def test_value_past_the_float_range_is_domain_error(self, key, value, tmp_path, capsys):
+        # finite values whose linear amplitude overflows or underflows: refused, not
+        # passed on as a traceback or as NaN or inf channels that no search can score
+        bad = tmp_path / "bad.ini"
+        bad.write_text(edited_scene_text(key, value))
+        assert run_cli("validate", "--scene", bad) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ris-sic: error:") and "OK" not in captured.out
+
     def test_scene_flag_required(self, capsys):
         assert run_cli("validate") == 1
 
@@ -160,7 +173,7 @@ class TestOptimize:
         out = tmp_path / "t.csv"
         rc = run_cli("optimize", "--scene", small_scene_file, "--bandwidth", "nan", "--out", out)
         assert rc == 2
-        assert "bandwidth_hz must be non-negative and finite" in capsys.readouterr().err
+        assert "bandwidth_hz must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_points_without_bandwidth_is_domain_error(self, small_scene_file, tmp_path, capsys):

@@ -159,11 +159,6 @@ class TestRunCampaign:
         assert res.final_best_db <= res.final_median_db <= res.final_worst_db
         assert res.final_best_db <= res.final_mean_db <= res.final_worst_db
 
-    def test_progress_callback(self, small_params):
-        seen = []
-        run_campaign(small_spec(small_params), progress=lambda r, t: seen.append(r))
-        assert seen == [0, 1, 2]
-
     def test_result_validation(self, small_params):
         # the hash and the curves derive from spec and traces, so one trace
         # per run is all a result has to validate

@@ -3,7 +3,7 @@
 import hashlib
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,6 +37,24 @@ from ris_sic.sceneio import (
     write_sweep,
     write_trace,
 )
+
+
+def _just_outside(f):
+    """The nearest values outside a bounded field's range, written as a scene file would."""
+    lo, strict, hi, _ = f.metadata["bound"]
+    if isinstance(lo, int):
+        return [str(lo if strict else lo - 1)] + ([] if hi is None else [str(hi + 1)])
+    return [fmt_float(lo if strict else np.nextafter(lo, -np.inf))] + (
+        [] if hi is None else [fmt_float(np.nextafter(hi, np.inf))])
+
+
+# (key, value) for the values just outside every bounded key of every scene section
+OUT_OF_BOUND_EDITS = [
+    (f.name, value)
+    for section in vars(default_scene_params()).values()
+    for f in fields(section) if "bound" in f.metadata
+    for value in _just_outside(f)
+]
 
 
 def make_trace(values, algorithm="greedy", **kw):
@@ -149,16 +167,29 @@ class TestSceneDocuments:
 
     @pytest.mark.parametrize("edit, where", [
         (("antenna_separation_m = 0.025", "antenna_separation_m = -1.0"), "antenna_separation_m"),
-        (("nx = 16", "nx = 0"), "[geometry]"),
+        (("nx = 16", "nx = 0"), "nx"),
         (("points = 1", "points = 3"), "[grid]"),
     ])
     def test_section_errors_name_their_line(self, edit, where):
-        # a message naming a key points at its line, any other at the section's
+        # a message naming a key points at its line, any other (here, a narrowband
+        # grid of 3 points) at the section's
         text = format_scene(default_scene_params()).replace(*edit)
         lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
                       if line.startswith(where))
         with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: "):
             parse_scene_text(text, source="doc.ini")
+
+    @pytest.mark.parametrize("key, value", OUT_OF_BOUND_EDITS)
+    def test_out_of_bound_values_rejected_at_their_line(self, key, value):
+        text = edited_scene_text(key, value)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: {key} must be "):
+            parse_scene_text(text, source="doc.ini")
+
+    def test_out_of_bound_cases_cover_every_section(self):
+        # the cases above are generated from the declared bounds, so none would mean no test
+        assert {"nx", "amplitude_on", "phase_target_deg", "delay_spread_s",
+                "center_hz"} <= {key for key, _ in OUT_OF_BOUND_EDITS}
 
     def test_clutter_off_is_the_one_infinite_value(self):
         params = parse_scene_text(edited_scene_text("relative_power_db", "-inf"))
@@ -201,7 +232,7 @@ class TestSceneDocuments:
         text = format_scene(default_scene_params()).replace(
             "center_hz = 5385000000.0", "center_hz = inf"
         )
-        with pytest.raises(SceneFormatError, match="center_hz must be positive and finite"):
+        with pytest.raises(SceneFormatError, match="center_hz must be finite, got inf"):
             parse_scene_text(text)
 
     def test_flatten_round_trip(self):
