@@ -220,6 +220,16 @@ class Scene:
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # every configuration's |H_k| <= |direct_k| + a * sum_i |h_ik||g_ik|, a the larger
+        # amplitude; 2x headroom keeps the kernel's complex products and sums finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths, amp = np.abs(h), max(self.cell.amplitude_on, self.cell.amplitude_off)
+            for row, g_row in zip(paths, g):  # paths is the one (N, K) temporary
+                row *= amp * np.abs(g_row)
+            bounded = np.isfinite(2.0 * (np.abs(direct) + paths.sum(axis=0))).all()
+        if not bounded:
+            raise ValueError("|direct| + max(a_on, a_off) * sum |h||g| overflows, "
+                             "so a configuration's reading could too")
 
     @property
     def n_elements(self) -> int:

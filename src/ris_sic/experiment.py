@@ -91,10 +91,16 @@ class CampaignResult:
     def __post_init__(self):
         if len(self.traces) != self.spec.runs:
             raise ValueError(f"{len(self.traces)} traces for {self.spec.runs} runs")
-        curves = self.curves
+        # one padded curve at a time, added in run order from 0.0, as curves.mean(axis=0)
+        # adds its rows; a one-column stack it sums pairwise, as np.mean does the finals
+        total, finals = np.zeros(self.spec.horizon), np.empty(self.spec.runs)
+        for r, trace in enumerate(self.traces):
+            curve = extend_curve(trace.cumulative, self.spec.horizon)
+            total += curve
+            finals[r] = curve[-1]
+        mean = np.mean(finals, keepdims=True) if total.size == 1 else total / finals.size
         object.__setattr__(self, "spec_hash", campaign_spec_hash(self.spec))
-        for name, value in (("mean_curve", curves.mean(axis=0)),
-                            ("final_values", curves[:, -1].copy())):
+        for name, value in (("mean_curve", mean), ("final_values", finals)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -186,18 +192,15 @@ def transfer_snapshot(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|H| in dB on a dense frequency axis about the scene center.
 
-    The axis is the wideband :class:`~ris_sic.model.GridSpec`'s, so when
-    ``span_hz``/``points`` equal the scene grid's span and size the sampled
+    The axis is the :class:`~ris_sic.model.GridSpec`'s, which checks ``span_hz``
+    and ``points``, so when they equal the scene grid's span and size the sampled
     frequencies — and therefore the dB values — coincide bit-exactly with the
-    per-point readings of :func:`ris_sic.channel.si_per_point_db`.  The axis is
-    scored in the frequency blocks of :func:`ris_sic.channel.freq_blocks`.
+    per-point readings of :func:`ris_sic.channel.si_per_point_db`; a 0 Hz span
+    is the single center point.  The axis is scored in the frequency blocks of
+    :func:`ris_sic.channel.freq_blocks`.
     """
-    if points < 2:
-        raise ValueError(f"snapshot needs >= 2 points, got {points}")
-    if not 0.0 < span_hz < 2.0 * scene.grid.center_hz:
-        raise ValueError(f"span {span_hz} Hz is not inside the positive-frequency span")
-    _check_dims(scene, config)
     freqs = GridSpec(scene.grid.center_hz, span_hz, points).axis()
+    _check_dims(scene, config)
     flat, si_db = config.flat(), np.empty(points)
     for b in freq_blocks(scene.n_elements, points):  # memory: one block plus the output
         direct, h, g = scene.channels_at(freqs[b])

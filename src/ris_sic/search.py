@@ -93,15 +93,17 @@ class _Recorder:
     """Scores configurations on one backend for one search run.
 
     :meth:`score` keeps only the count and the earliest strict best;
-    :meth:`record` also keeps the reading for the trace.
+    :meth:`record` also keeps the reading for the trace, 8 bytes each.
     """
 
     def __init__(self, backend: EvaluationBackend):
+        from array import array  # deferred: importing the package loads no more modules
+
         self.backend = backend
         self.count = 0
         self.best_config: Optional[RisConfig] = None
         self.best_reading: Optional[SiReading] = None
-        self._evaluated: list[float] = []
+        self._evaluated = array("d")
         self._t0 = time.perf_counter()
 
     def score(self, config: RisConfig) -> tuple[float, bool]:

@@ -26,7 +26,8 @@ from ris_sic.channel import (
     si_per_point_db,
     transfer_vector,
 )
-from ris_sic.model import RisConfig
+from ris_sic.cell import UnitCellModel
+from ris_sic.model import FrequencyGrid, RisConfig
 from ris_sic.sceneio import SceneFormatError, parse_scene_text
 from ris_sic.units import db_to_linear
 
@@ -607,6 +608,26 @@ class TestSceneObject:
         arrays[name].flat[1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             Scene.from_arrays(grid=s.grid, cell=s.cell, nx=2, ny=2, **arrays)
+
+    @pytest.mark.parametrize("scale, amplitude, ok", [
+        (1e160, 0.92, False),  # |h||g| = 2e320 overflows
+        (1e153, 0.92, True),   # M = 7.4e306 and 2M finite: every reading is finite
+        (1e154, 0.92, False),  # M = 7.4e308 overflows
+        (1e154, 0.0, True),    # a dark surface adds nothing
+    ])
+    def test_paths_that_overflow_when_scored_rejected(self, scale, amplitude, ok):
+        cell = UnitCellModel.with_phase_target(5.385e9, amplitude_on=amplitude,
+                                               amplitude_off=amplitude)
+        arrays = dict(grid=FrequencyGrid.narrowband(5.385e9), cell=cell, nx=2, ny=2,
+                      direct=np.ones(1), h=np.full((4, 1), scale * (1 + 1j)),
+                      g=np.full((4, 1), scale * (1 - 1j)))
+        if not ok:
+            with pytest.raises(ValueError, match="overflows"):
+                Scene.from_arrays(**arrays)
+            return
+        scene = Scene.from_arrays(**arrays)
+        for config in (RisConfig.all_on(2, 2), RisConfig.all_off(2, 2)):
+            assert np.isfinite(si_per_point_db(scene, config)).all()
 
     def test_shape_validation(self):
         s = synthetic_scene(2, 2, points=3)

@@ -87,6 +87,23 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.err.startswith("ris-sic: error:") and "OK" not in captured.out
 
+    @pytest.mark.parametrize("gain_dbi, rc", [(6200.0, 2), (3000.0, 0)])
+    def test_scene_that_validates_can_be_scored(self, gain_dbi, rc, tmp_path, capsys):
+        # 6200 dBi leaves h and g finite, but h * gamma * g overflows in the kernel
+        p = default_scene_params()
+        p = replace(p, geometry=replace(p.geometry, nx=4, ny=4, tx_gain_dbi=gain_dbi,
+                                        rx_gain_dbi=gain_dbi))
+        scene = tmp_path / "gain.ini"
+        sceneio.write_scene(p, scene)
+        assert run_cli("validate", "--scene", scene) == rc
+        out = tmp_path / "t.csv"
+        assert run_cli("optimize", "--scene", scene, "--buffer", 4, "--stall", 20,
+                       "--out", out) == rc
+        if rc:
+            assert "overflows" in capsys.readouterr().err and not out.exists()
+        else:
+            assert np.isfinite(sceneio.read_trace(out).evaluated_db).all()
+
     def test_scene_flag_required(self, capsys):
         assert run_cli("validate") == 1
 
@@ -317,7 +334,8 @@ class TestSnapshot:
         rc = run_cli("snapshot", "--scene", small_scene_file, "--config", config_file,
                      "--span", span, "--points", 5, "--out", out)
         assert rc == 2
-        assert "positive-frequency span" in capsys.readouterr().err
+        expected = "bandwidth_hz must be finite" if span == "nan" else "positive-frequency span"
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_path_that_cannot_be_recorded_is_domain_error(

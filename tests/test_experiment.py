@@ -106,6 +106,52 @@ class TestRunCampaign:
         assert len(res.traces) == 3
         assert res.spec_hash == campaign_spec_hash(spec)
 
+    @pytest.mark.parametrize("runs", [1, 7, 8, 9, 20])
+    @pytest.mark.parametrize("algorithm, horizon", [
+        ("random", 1), ("random", 2), ("random", 3), ("random", 200),
+        ("greedy", 2), ("greedy", 3), ("greedy", 200),  # greedy needs horizon >= buffer >= 2
+    ])
+    def test_streamed_aggregates_equal_the_stack(self, small_params, algorithm, horizon, runs):
+        # numpy adds a stack's rows in sequence at horizon >= 2 but sums a one-column
+        # stack pairwise, which differs from a sequential sum from 8 runs on
+        spec = small_spec(small_params, algorithm=algorithm, runs=runs, horizon=horizon,
+                          buffer_size=2, stall_limit=40)
+        res = run_campaign(spec)
+        curves = res.curves
+        np.testing.assert_array_equal(res.mean_curve, curves.mean(axis=0))
+        np.testing.assert_array_equal(res.final_values, curves[:, -1])
+        assert res.mean_curve.shape == (horizon,) and res.final_values.shape == (runs,)
+
+    def test_streamed_mean_keeps_the_stack_signed_zeros(self, small_params):
+        # the stack's sum starts from +0.0, so rows of -0.0 average to +0.0
+        spec = small_spec(small_params, algorithm="random", runs=2, horizon=2)
+        best = SiReading.from_per_point([-0.0])
+        traces = tuple(ConvergenceTrace("random", [-0.0, -0.0], RisConfig.all_off(4, 4), best)
+                       for _ in range(2))
+        res = CampaignResult(spec=spec, traces=traces, created_utc="")
+        expected = res.curves.mean(axis=0)
+        np.testing.assert_array_equal(res.mean_curve, expected)
+        assert np.signbit(res.mean_curve).tolist() == np.signbit(expected).tolist()
+
+    def test_building_the_result_holds_one_curve_at_a_time(self, small_params):
+        # a stacked (runs, horizon) array would peak at 200 x 5,000 x 8 B = 7.6 MiB
+        spec = small_spec(small_params, algorithm="random", runs=200, horizon=5000)
+        rng = np.random.default_rng(2)
+        traces = []
+        for _ in range(spec.runs):
+            ev = -40.0 - 30.0 * rng.random(spec.horizon)
+            best = SiReading.from_per_point([ev.min()])
+            traces.append(ConvergenceTrace("random", ev, RisConfig.all_off(4, 4), best))
+        traces = tuple(traces)
+        tracemalloc.start()
+        try:
+            res = CampaignResult(spec=spec, traces=traces, created_utc="")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * spec.horizon * 8
+        np.testing.assert_array_equal(res.mean_curve, res.curves.mean(axis=0))
+
     def test_deterministic_given_spec(self, small_params):
         spec = small_spec(small_params)
         a, b = run_campaign(spec), run_campaign(spec)
@@ -296,13 +342,23 @@ class TestTransferSnapshot:
         with pytest.raises(ValueError):
             transfer_snapshot(wideband_scene, config, 0.0, 11)
         center = wideband_scene.grid.center_hz
-        for span in (12e9, 2.0 * center, float("nan")):  # reach 0 Hz or undefined
+        for span in (12e9, 2.0 * center):  # reach 0 Hz
             with pytest.raises(ValueError, match="positive-frequency span"):
                 transfer_snapshot(wideband_scene, config, span, 5)
+        with pytest.raises(ValueError, match="bandwidth_hz must be finite"):
+            transfer_snapshot(wideband_scene, config, float("nan"), 5)
         with pytest.raises(ValueError):
             transfer_snapshot(wideband_scene, config, 10e6, 1)
         with pytest.raises(ValueError):
             transfer_snapshot(wideband_scene, RisConfig.all_on(3, 3), 10e6, 11)
+
+    def test_zero_span_single_point_is_the_narrowband_reading(self, small_scene):
+        rng = np.random.default_rng(3)
+        for config in [RisConfig.all_on(4, 4)] + [RisConfig(rng.random((4, 4)) < 0.5)
+                                                   for _ in range(8)]:
+            freqs, si = transfer_snapshot(small_scene, config, 0.0, 1)
+            np.testing.assert_array_equal(freqs, small_scene.grid.points)
+            np.testing.assert_array_equal(si, si_per_point_db(small_scene, config))
 
     def test_synthetic_scene_unsupported(self):
         from conftest import synthetic_scene

@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -66,6 +68,23 @@ def make_trace(values, algorithm="greedy", **kw):
         best_reading=SiReading.from_per_point([np.min(ev)]),
         **kw,
     )
+
+
+class TestMedian:
+    def test_bits_equal_numpy_median(self):
+        # odd and even lengths, -inf, and signed zeros, whose order a sort leaves open
+        rng = np.random.default_rng(4)
+        for case in range(3000):
+            size = int(rng.integers(1, 80))
+            if case % 3 == 0:
+                values = rng.choice([float("-inf"), 0.0, -0.0, -40.0, -50.0], size)
+            else:
+                values = -40.0 - 30.0 * rng.random(size)
+                values[rng.random(size) < 0.1 * (case % 3)] = float("-inf")
+            got, expected = sceneio.median(values), np.median(values)
+            assert type(got) is type(expected)
+            assert got == expected
+            assert np.signbit(got) == np.signbit(expected), values
 
 
 class TestFmtFloat:
@@ -496,6 +515,44 @@ class TestCampaignFiles:
         path.write_text(text)
         with pytest.raises(TraceIntegrityError, match=message):
             read_campaign(path)
+
+    def test_nan_final_value_refused(self, tmp_path):
+        # a run's final is a reading's running minimum, never NaN; the four
+        # statistics are edited to match, so only the NaN check can refuse the file
+        path = tmp_path / "c.csv"
+        write_campaign(pinned_result(pinned_specs()[0]), path)
+        text = re.sub(r"(?m)^# final_values_db: [^;]*", "# final_values_db: nan", path.read_text())
+        text = re.sub(r"(?m)^# (final_(median|mean|best|worst)_db): .*$", r"# \1: nan", text)
+        path.write_text(text)
+        with pytest.raises(TraceIntegrityError, match="final_values_db"):
+            read_campaign(path)
+
+    def test_minus_inf_final_value_loads(self, tmp_path):
+        # exact cancellation reads -inf, so a run may end there
+        spec = pinned_specs()[1]
+        traces = (make_trace([-40.0, float("-inf")]),) + pinned_result(spec).traces[1:]
+        result = CampaignResult(spec=spec, traces=traces, created_utc=CREATED_UTC)
+        path = tmp_path / "c.csv"
+        write_campaign(result, path)
+        loaded = read_campaign(path)
+        np.testing.assert_array_equal(loaded.final_values_db, result.final_values)
+        assert loaded.final_values_db[0] == float("-inf")
+
+    def test_write_and_read_leave_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on its first call; the campaign files' median does not
+        code = (
+            "import sys\n"
+            "from ris_sic.channel import default_scene_params\n"
+            "from ris_sic.experiment import CampaignSpec, run_campaign\n"
+            "from ris_sic.sceneio import read_campaign, write_campaign\n"
+            "spec = CampaignSpec(default_scene_params(), runs=4, horizon=30, buffer_size=4)\n"
+            "write_campaign(run_campaign(spec), sys.argv[1])\n"
+            "read_campaign(sys.argv[1])\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_header_field_detected(self, tmp_path, result):
         path = tmp_path / "c.csv"
