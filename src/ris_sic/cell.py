@@ -48,9 +48,11 @@ def _immutable(*arrays) -> bool:
 
 
 def _pole_phase(f_hz, resonance_hz: float, quality_factor: float):
-    """Phase (rad) of the single-pole all-pass factor; accepts scalars or arrays."""
+    """Phase (rad) of the single-pole all-pass factor; accepts scalars or arrays.  A
+    quotient past the float range is inf, whose arctan2 is the phase's limit."""
     f = np.asarray(f_hz, dtype=np.float64)
-    phase = -2.0 * np.arctan2(f * resonance_hz / quality_factor, resonance_hz**2 - f**2)
+    with np.errstate(over="ignore"):
+        phase = -2.0 * np.arctan2(f * resonance_hz / quality_factor, resonance_hz**2 - f**2)
     return phase if phase.ndim else float(phase)
 
 

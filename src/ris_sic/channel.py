@@ -131,55 +131,45 @@ def freq_blocks(n: int, k: int) -> list[slice]:
 class _ChannelModel:
     """Deterministic generator for the channel at arbitrary frequencies."""
 
-    d_direct_m: float
+    geometry: Geometry
     d_tx_m: np.ndarray  # (N,)
     d_rx_m: np.ndarray  # (N,)
-    tx_gain_dbi: float
-    rx_gain_dbi: float
-    element_gain_dbi: float
     alpha_amp: float
     center_hz: float
     direct_scale: float
     clutter_amp: float  # linear, relative to each deterministic path; 0 = off
-    # clutter taps, read only when clutter_amp > 0
-    direct_tap_gain: Optional[np.ndarray] = None  # (M,) complex
-    direct_tap_delay: Optional[np.ndarray] = None  # (M,)
-    h_tap_gain: Optional[np.ndarray] = None  # (N, M) complex
-    h_tap_delay: Optional[np.ndarray] = None  # (N, M)
-    g_tap_gain: Optional[np.ndarray] = None  # (N, M) complex
-    g_tap_delay: Optional[np.ndarray] = None  # (N, M)
+    # clutter (gains, delays): (M,) direct, (N, M) per hop; read only when clutter_amp > 0
+    direct_taps: Optional[tuple] = None
+    h_taps: Optional[tuple] = None
+    g_taps: Optional[tuple] = None
 
     def direct_at(self, freqs: np.ndarray) -> np.ndarray:
-        det = self.alpha_amp * np.exp(-2j * np.pi * freqs * self.d_direct_m / C0_M_PER_S)
+        d = self.geometry.antenna_separation_m
+        det = self.alpha_amp * np.exp(-2j * np.pi * freqs * d / C0_M_PER_S)
         if self.clutter_amp > 0.0:
-            det = det + self.alpha_amp * self.clutter_amp * _tap_response(
-                self.direct_tap_gain, self.direct_tap_delay, freqs
-            )
+            det = det + self.alpha_amp * self.clutter_amp * _tap_response(*self.direct_taps, freqs)
         return self.direct_scale * det
 
-    def _hop(self, d_m, freqs, g_near_dbi, tap_gain, tap_delay):
-        loss = _fspl_db(d_m[:, None], freqs[None, :], g_near_dbi, self.element_gain_dbi)
+    def _hop(self, d_m, freqs, g_near_dbi, taps):
+        g_element = self.geometry.element_gain_dbi
+        loss = _fspl_db(d_m[:, None], freqs[None, :], g_near_dbi, g_element)
         coeff = db_to_linear(-loss) * np.exp(
             -2j * np.pi * freqs[None, :] * d_m[:, None] / C0_M_PER_S)
         if self.clutter_amp > 0.0:
-            ref = db_to_linear(-_fspl_db(d_m, self.center_hz, g_near_dbi, self.element_gain_dbi))
-            coeff = coeff + (self.clutter_amp * ref)[:, None] * _tap_response(
-                tap_gain, tap_delay, freqs
-            )
+            ref = db_to_linear(-_fspl_db(d_m, self.center_hz, g_near_dbi, g_element))
+            coeff = coeff + (self.clutter_amp * ref)[:, None] * _tap_response(*taps, freqs)
         return coeff
 
     def channels_at(self, freqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(direct, h, g) sampled at the given frequencies, one block at a time."""
-        freqs = np.asarray(freqs, dtype=np.float64)
+        freqs, geo = np.asarray(freqs, dtype=np.float64), self.geometry
         direct = np.empty(freqs.size, dtype=np.complex128)
         h = np.empty((self.d_tx_m.size, freqs.size), dtype=np.complex128)
         g = np.empty_like(h)
         for b in freq_blocks(h.shape[0], freqs.size):
             direct[b] = self.direct_at(freqs[b])
-            h[:, b] = self._hop(self.d_tx_m, freqs[b], self.tx_gain_dbi,
-                                self.h_tap_gain, self.h_tap_delay)
-            g[:, b] = self._hop(self.d_rx_m, freqs[b], self.rx_gain_dbi,
-                                self.g_tap_gain, self.g_tap_delay)
+            h[:, b] = self._hop(self.d_tx_m, freqs[b], geo.tx_gain_dbi, self.h_taps)
+            g[:, b] = self._hop(self.d_rx_m, freqs[b], geo.rx_gain_dbi, self.g_taps)
         return direct, h, g
 
 
@@ -255,7 +245,7 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
     center-frequency magnitude equals ``-alpha_iso_db`` exactly.
     """
     geo, cal, clu, gridspec = params.geometry, params.calibration, params.clutter, params.grid
-    grid = gridspec.to_grid()
+    grid = FrequencyGrid(gridspec)
     cell = UnitCellModel.with_phase_target(gridspec.center_hz, **vars(params.cell))
 
     n = geo.nx * geo.ny
@@ -269,50 +259,34 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
     if min(d_tx.min(), d_rx.min()) < 1e-9:
         raise ValueError("degenerate geometry: an antenna coincides with a surface element")
 
-    m = clu.taps
     clutter_amp, taps = 0.0, {}
     if clu.enabled:
         rng = np.random.default_rng(np.random.SeedSequence(clu.seed if seed is None else seed))
 
-        def _cgauss(shape):
-            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        def _draw(shape):  # one path's (gains, delays)
+            gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+            return gains, rng.uniform(0.0, clu.delay_spread_s, size=shape)
 
         # drawn in this order: the clutter seed fixes every tap
-        taps = dict(
-            direct_tap_gain=_cgauss((m,)),
-            direct_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(m,)),
-            h_tap_gain=_cgauss((n, m)),
-            h_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(n, m)),
-            g_tap_gain=_cgauss((n, m)),
-            g_tap_delay=rng.uniform(0.0, clu.delay_spread_s, size=(n, m)),
-        )
+        taps = dict(direct_taps=_draw((clu.taps,)), h_taps=_draw((n, clu.taps)),
+                    g_taps=_draw((n, clu.taps)))
         clutter_amp = db_to_linear(clu.relative_power_db)
 
-    model = _ChannelModel(
-        d_direct_m=geo.antenna_separation_m,
-        d_tx_m=d_tx,
-        d_rx_m=d_rx,
-        tx_gain_dbi=geo.tx_gain_dbi,
-        rx_gain_dbi=geo.rx_gain_dbi,
-        element_gain_dbi=geo.element_gain_dbi,
-        alpha_amp=db_to_linear(-cal.alpha_iso_db),
-        center_hz=gridspec.center_hz,
-        direct_scale=1.0,
-        clutter_amp=clutter_amp,
-        **taps,
-    )
+    model = _ChannelModel(geometry=geo, d_tx_m=d_tx, d_rx_m=d_rx,
+                          alpha_amp=db_to_linear(-cal.alpha_iso_db), center_hz=gridspec.center_hz,
+                          direct_scale=1.0, clutter_amp=clutter_amp, **taps)
     # Calibrate the direct leakage at the center frequency only.  A leakage that
-    # underflows to 0 gives a NaN scale, which the check refuses.
+    # overflows or underflows to 0 gives a NaN scale, which the check refuses, and
+    # Scene refuses channels that overflow.
     center = np.array([gridspec.center_hz])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = db_to_linear(-cal.alpha_iso_db) / abs(model.direct_at(center)[0])
-    model = replace(model, direct_scale=scale)
-    achieved = 20.0 * math.log10(abs(model.direct_at(center)[0]))
-    if not abs(achieved + cal.alpha_iso_db) <= 0.1:
-        raise RuntimeError(
-            f"direct-path calibration failed: {achieved:.4f} dB vs target {-cal.alpha_iso_db} dB"
-        )
-    direct, h, g = model.channels_at(grid.points)
+        model = replace(model, direct_scale=scale)
+        achieved = 20.0 * math.log10(abs(model.direct_at(center)[0]))
+        if not abs(achieved + cal.alpha_iso_db) <= 0.1:
+            raise RuntimeError(f"direct-path calibration failed: {achieved:.4f} dB "
+                               f"vs target {-cal.alpha_iso_db} dB")
+        direct, h, g = model.channels_at(grid.points)
     return Scene(grid=grid, direct=direct, h=h, g=g, cell=cell,
                  nx=geo.nx, ny=geo.ny, channel_model=model)
 

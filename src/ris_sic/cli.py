@@ -66,6 +66,15 @@ def _best_path(out: Path, tag: str = "") -> Path:
     return out.with_name(out.stem + tag + ".best.txt")
 
 
+# campaign and sweep flag -> the CampaignSpec field it sets
+_CAMPAIGN_FIELDS = {"runs": "runs", "seed": "master_seed", "horizon": "horizon",
+                    "buffer": "buffer_size", "stall": "stall_limit"}
+
+
+def _campaign_fields(args) -> dict:
+    return {name: getattr(args, flag) for flag, name in _CAMPAIGN_FIELDS.items()}
+
+
 def _report_best(params: SceneParams, final_db: float) -> str:
     p_tx = params.calibration.p_tx_dbm
     return f"{final_db:.2f} dB ({p_tx + final_db:.2f} dBm at P_tx = {p_tx:g} dBm)"
@@ -107,23 +116,15 @@ def _cmd_oracle(args) -> int:
     header = {"si_db": sceneio.fmt_float(best_reading.magnitude_db)}
     header.update(_scene_header(params))
     sceneio.write_config_grid(best_config, out, header=header)
-    n = scene.nx * scene.ny
-    print(f"oracle: enumerated {2**n} states, optimum {_report_best(params, best_reading.magnitude_db)}")
+    print(f"oracle: enumerated {2**scene.n_elements} states, "
+          f"optimum {_report_best(params, best_reading.magnitude_db)}")
     print(f"best configuration written to {out}")
     return 0
 
 
 def _cmd_campaign(args) -> int:
     params = _apply_grid_flags(_load_params(args), args)
-    spec = experiment.CampaignSpec(
-        scene=params,
-        algorithm=args.algorithm,
-        runs=args.runs,
-        master_seed=args.seed,
-        horizon=args.horizon,
-        buffer_size=args.buffer,
-        stall_limit=args.stall,
-    )
+    spec = experiment.CampaignSpec(params, args.algorithm, **_campaign_fields(args))
     result = experiment.run_campaign(spec)
     sceneio.write_campaign(result, args.out)
     print(
@@ -138,24 +139,21 @@ def _cmd_campaign(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _load_params(args)
     bandwidths = args.bandwidth if args.bandwidth else [0.0, 5e6, 10e6]
-    results = experiment.bandwidth_sweep(
-        params,
-        bandwidths,
-        points=args.points,
-        runs=args.runs,
-        master_seed=args.seed,
-        horizon=args.horizon,
-        buffer_size=args.buffer,
-        stall_limit=args.stall,
-    )
+    out, best_files = Path(args.out), {}  # best-configuration file -> its bandwidth
+    for bw in bandwidths:
+        best = _best_path(out, f".{bw / 1e6:.12g}mhz")
+        if best in best_files and best_files[best] != bw:
+            raise ValueError(f"bandwidths {best_files[best]!r} and {bw!r} Hz would both "
+                             f"write their best configuration to {best}")
+        best_files[best] = bw
+    results = experiment.bandwidth_sweep(params, bandwidths, points=args.points,
+                                         **_campaign_fields(args))
     header = _scene_header(params, args.seed)
     header["runs"] = str(args.runs)
-    out = Path(args.out)
     sceneio.write_sweep(results, out, header=header)
-    for result in results:
+    for best, result in zip(best_files, results):  # the sweep refuses repeated bandwidths
         bw = result.spec.scene.grid.bandwidth_hz
         label = "narrowband" if bw == 0.0 else f"{bw / 1e6:g} MHz"
-        best = _best_path(out, f".{bw / 1e6:.12g}mhz")
         meta = {"bandwidth_hz": sceneio.fmt_float(bw),
                 "si_db": sceneio.fmt_float(result.final_best_db)}
         sceneio.write_config_grid(result.best_config, best, header=meta)
@@ -219,6 +217,14 @@ def _add_search_flags(p: _Parser):
                    help="terminate after T evaluations without improvement (default 500)")
 
 
+def _add_campaign_flags(p: _Parser):
+    """The flags behind :data:`_CAMPAIGN_FIELDS`."""
+    _add_search_flags(p)
+    p.add_argument("--runs", type=int, default=100, metavar="R")
+    p.add_argument("--seed", type=int, default=0, help="master seed; run r uses child stream r")
+    p.add_argument("--horizon", type=int, default=5000, metavar="N")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ris-sic", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -253,24 +259,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("campaign", help="multi-run averaged convergence study")
     _add_scene_flag(p)
     _add_grid_flags(p)
-    _add_search_flags(p)
+    _add_campaign_flags(p)
     p.add_argument("--algorithm", choices=experiment.ALGORITHMS, default="greedy")
-    p.add_argument("--runs", type=int, default=100, metavar="R")
-    p.add_argument("--seed", type=int, default=0, help="master seed; run r uses child stream r")
-    p.add_argument("--horizon", type=int, default=5000, metavar="N")
     p.add_argument("--out", default="campaign.csv")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("sweep", help="greedy campaigns across objective bandwidths, "
                        "with each point's best configuration")
     _add_scene_flag(p)
-    _add_search_flags(p)
+    _add_campaign_flags(p)
     p.add_argument("--bandwidth", type=float, action="append", metavar="HZ",
                    help="repeatable; default 0, 5e6, 10e6")
     p.add_argument("--points", type=int, default=11, metavar="K")
-    p.add_argument("--runs", type=int, default=100, metavar="R")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=5000, metavar="N")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
 

@@ -143,9 +143,6 @@ class GridSpec(Checked):
         return np.linspace(self.center_hz - self.bandwidth_hz / 2.0,
                            self.center_hz + self.bandwidth_hz / 2.0, self.points)
 
-    def to_grid(self) -> "FrequencyGrid":
-        return FrequencyGrid(self)
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -171,8 +168,6 @@ class FrequencyGrid:
 
     k = property(lambda self: self.spec.points)
     center_hz = property(lambda self: self.spec.center_hz)
-    is_narrowband = property(lambda self: self.spec.points == 1)
-    span_hz = property(lambda self: float(self.points[-1] - self.points[0]))
 
 
 @dataclass(frozen=True, eq=False)

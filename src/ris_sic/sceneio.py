@@ -393,36 +393,28 @@ def config_rows(config: RisConfig) -> list[str]:
     return ["".join("1" if v else "0" for v in row) for row in config.states]
 
 
-def format_config_grid(config: RisConfig, header: Optional[Mapping[str, str]] = None) -> str:
-    return "\n".join([CONFIG_MAGIC, *_header_lines(header or {}), *config_rows(config)]) + "\n"
-
-
 def write_config_grid(
     config: RisConfig, path: PathLike, header: Optional[Mapping[str, str]] = None
 ) -> None:
-    _atomic_write(path, [format_config_grid(config, header)])
+    lines = [CONFIG_MAGIC, *_header_lines(header or {}), *config_rows(config)]
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
-def parse_config_grid(text: str, source: str = "<string>") -> RisConfig:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def read_config_grid(path: PathLike) -> RisConfig:
+    path, rows = Path(path), []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if set(stripped) - {"0", "1"}:
-            raise SceneFormatError(f"{source}:{lineno}: config rows must be 0/1 strings")
+            raise SceneFormatError(f"{path}:{lineno}: config rows must be 0/1 strings")
         rows.append([c == "1" for c in stripped])
     if not rows:
-        raise SceneFormatError(f"{source}: no configuration rows found")
+        raise SceneFormatError(f"{path}: no configuration rows found")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise SceneFormatError(f"{source}: config rows have inconsistent lengths")
+        raise SceneFormatError(f"{path}: config rows have inconsistent lengths")
     return RisConfig(np.asarray(rows, dtype=bool))
-
-
-def read_config_grid(path: PathLike) -> RisConfig:
-    path = Path(path)
-    return parse_config_grid(path.read_text(encoding="utf-8"), source=str(path))
 
 
 # --------------------------------------------------------------------------

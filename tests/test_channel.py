@@ -168,12 +168,12 @@ class TestClutter:
 
 class TestGridSpec:
     def test_narrowband_roundtrip(self):
-        grid = GridSpec(FC, 0.0, 1).to_grid()
-        assert grid.is_narrowband and grid.points[0] == FC
+        grid = FrequencyGrid(GridSpec(FC, 0.0, 1))
+        assert grid.k == 1 and grid.points.tolist() == [FC]
 
     def test_wideband_roundtrip(self, small_params):
-        grid = GridSpec(FC, 10e6, 11).to_grid()
-        assert grid.k == 11 and grid.span_hz == pytest.approx(10e6)
+        grid = FrequencyGrid(GridSpec(FC, 10e6, 11))
+        assert grid.k == 11 and grid.points[-1] - grid.points[0] == pytest.approx(10e6)
         # narrow spans whose linspace steps differ by more than 1e-9 relative
         for bandwidth, points in ((1000.0, 10001), (1.0, 11)):
             scene = build_scene(replace(small_params, grid=GridSpec(FC, bandwidth, points)))
@@ -419,11 +419,9 @@ class TestTapResponse:
         # frequency blocks and a short last one of 9
         model = build_scene(default_scene_params()).channel_model
         freqs = np.linspace(FC - 10e6, FC + 10e6, 201)
-        blocks = channel.freq_blocks(model.h_tap_gain.shape[0], freqs.size)
+        blocks = channel.freq_blocks(model.d_tx_m.size, freqs.size)
         assert len(blocks) == 7
-        for gains, delays in ((model.h_tap_gain, model.h_tap_delay),
-                              (model.g_tap_gain, model.g_tap_delay),
-                              (model.direct_tap_gain, model.direct_tap_delay)):
+        for gains, delays in (model.h_taps, model.g_taps, model.direct_taps):
             got = np.concatenate([channel._tap_response(gains, delays, freqs[b])
                                   for b in blocks], axis=-1)
             assert got.tobytes() == full_tensor_tap_response(gains, delays, freqs).tobytes()

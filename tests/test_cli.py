@@ -306,6 +306,23 @@ class TestSweep:
             assert freqs.size == 21 and np.all(np.isfinite(si))
 
 
+    def test_bandwidths_sharing_a_best_file_name_refused(self, small_scene_file, tmp_path,
+                                                         capsys):
+        # both tags read 1mhz to 12 digits, so their campaigns would share one best file
+        out = tmp_path / "sw.csv"
+        rc = run_cli(
+            "sweep", "--scene", small_scene_file,
+            "--bandwidth", 1e6, "--bandwidth", 1.0000000000001e6, "--points", 5,
+            "--runs", 2, "--buffer", 10, "--stall", 25, "--horizon", 150, "--out", out,
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any campaign ran
+        assert "bandwidths 1000000.0 and 1000000.0000001 Hz" in captured.err
+        assert str(tmp_path / "sw.1mhz.best.txt") in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSnapshot:
     def test_from_best_config(self, small_scene_file, tmp_path, capsys):
         best = tmp_path / "g.best.txt"

@@ -18,7 +18,7 @@ from ris_sic.experiment import (
     transfer_snapshot,
 )
 from ris_sic.model import RisConfig, SiReading
-from ris_sic.search import ConvergenceTrace, greedy_optimize
+from ris_sic.search import ConvergenceTrace, EvaluationError, greedy_optimize
 
 
 def small_spec(small_params, **kw):
@@ -121,6 +121,27 @@ class TestRunCampaign:
         np.testing.assert_array_equal(res.mean_curve, curves.mean(axis=0))
         np.testing.assert_array_equal(res.final_values, curves[:, -1])
         assert res.mean_curve.shape == (horizon,) and res.final_values.shape == (runs,)
+
+    def test_failing_run_reports_its_context(self, small_params, monkeypatch):
+        # run 0 takes its 10 evaluations; run 1 fails at its evaluation 3, the 14th call
+        evaluate, calls = SimulatedBackend.evaluate, []
+
+        def failing(self, config):
+            calls.append(config)
+            if len(calls) == 14:
+                raise OSError("receiver offline")
+            return evaluate(self, config)
+
+        monkeypatch.setattr(SimulatedBackend, "evaluate", failing)
+        spec = small_spec(small_params, algorithm="random", runs=2, horizon=10, master_seed=7)
+        with pytest.raises(RuntimeError) as exc_info:
+            run_campaign(spec)
+        assert str(exc_info.value) == (
+            "campaign aborted: run 1 (master_seed=7, spawn key 1) failed: "
+            "evaluation 3 failed: OSError: receiver offline")
+        cause = exc_info.value.__cause__
+        assert type(cause) is EvaluationError and cause.iteration == 3
+        assert len(calls) == 14
 
     def test_streamed_mean_keeps_the_stack_signed_zeros(self, small_params):
         # the stack's sum starts from +0.0, so rows of -0.0 average to +0.0

@@ -1,6 +1,7 @@
 """File formats: scene documents, trace/campaign/snapshot tables, config grids."""
 
 import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -9,10 +10,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import NON_FINITE_SCENE_EDITS, edited_scene_text
 from ris_sic import sceneio
-from ris_sic.channel import ClutterParams, Geometry, GridSpec, default_scene_params
+from ris_sic.backend import SimulatedBackend
+from ris_sic.channel import (
+    ClutterParams, Geometry, GridSpec, SceneParams, build_scene, default_scene_params,
+)
 from ris_sic.experiment import (
     CampaignResult, CampaignSpec, campaign_spec_hash, run_campaign,
     transfer_snapshot,
@@ -57,6 +63,47 @@ OUT_OF_BOUND_EDITS = [
     for f in fields(section) if "bound" in f.metadata
     for value in _just_outside(f)
 ]
+
+
+# Generated scenes: the caps keep each scene small and bind no check; a float bounded
+# only from below is drawn up to _WIDE, and an unbounded gain or level from +-_LEVEL dB,
+# which reaches past the float range both ways.
+_CAPS = {"nx": 4, "ny": 4, "taps": 8}
+_WIDE, _LEVEL = 1e12, 1e4
+
+
+def _field_values(cls, f):
+    """A strategy for one scene key, read from its ``model.bounded`` range."""
+    if f.name in _CAPS:
+        return st.integers(1, _CAPS[f.name])
+    if "bound" not in f.metadata:
+        levels = st.floats(-_LEVEL, _LEVEL)
+        return st.one_of(st.just(-math.inf), levels) if f.name in cls.NEG_INF_OK else levels
+    lo, strict, hi, _ = f.metadata["bound"]
+    if isinstance(f.default, int):
+        return st.integers(lo + strict, 2**63 if hi is None else hi)
+    return st.floats(lo, _WIDE if hi is None else hi, exclude_min=strict)
+
+
+@st.composite
+def scene_params(draw):
+    """Whole SceneParams, each section drawn key by key; a section its own check
+    refuses (a grid too wide for its center, an unreachable phase) is redrawn."""
+    sections = {}
+    for section in fields(SceneParams):
+        cls = type(section.default)
+        values = {f.name: draw(_field_values(cls, f)) for f in fields(cls) if f.name != "points"}
+        if cls is GridSpec:
+            values["points"] = 1 if values["bandwidth_hz"] == 0.0 else draw(st.integers(2, 5))
+        try:
+            sections[section.name] = cls(**values)
+        except ValueError:
+            reject()
+    return SceneParams(**sections)
+
+
+_SMALL = default_scene_params()
+_SMALL = replace(_SMALL, geometry=replace(_SMALL.geometry, nx=4, ny=4))
 
 
 def make_trace(values, algorithm="greedy", **kw):
@@ -262,6 +309,29 @@ class TestSceneDocuments:
         assert flat["grid.center_hz"] == fmt_float(5.385e9)
 
 
+class TestGeneratedScenes:
+    @given(scene_params(), st.integers(0, 2**32 - 1))
+    @example(replace(_SMALL, geometry=replace(_SMALL.geometry, tx_gain_dbi=6200.0,
+                                              rx_gain_dbi=6200.0)), 0)
+    # a pole phase whose quotient overflows, and clutter taps that overflow a hop
+    @example(replace(_SMALL, cell=replace(_SMALL.cell, phase_target_deg=5e-324,
+                                          quality_factor=5e-324)), 0)
+    @example(replace(_SMALL, geometry=replace(_SMALL.geometry, tx_gain_dbi=3000.0),
+                     clutter=replace(_SMALL.clutter, relative_power_db=6000.0)), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_a_scene_round_trips_and_is_refused_or_scores(self, params, seed):
+        assert parse_scene_text(format_scene(params)) == params
+        try:
+            scene = build_scene(params)
+        except (ValueError, RuntimeError):  # the CLI's domain errors, exit 2
+            return
+        nx, ny = params.geometry.nx, params.geometry.ny
+        mixed = RisConfig(np.random.default_rng(seed).random((nx, ny)) < 0.5)
+        backend = SimulatedBackend(scene)
+        for config in (RisConfig.all_off(nx, ny), RisConfig.all_on(nx, ny), mixed):
+            assert not math.isnan(backend.evaluate(config).magnitude_db)
+
+
 class TestTraceFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -361,6 +431,14 @@ class TestTraceFiles:
         lines[at] = line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceIntegrityError, match=message):
+            read_trace(path)
+
+    def test_missing_columns_line_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([-40.0, -42.0]), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("# columns:")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceIntegrityError, match=r"t\.csv: missing '# columns:' line"):
             read_trace(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -553,6 +631,27 @@ class TestCampaignFiles:
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_missing_scene_entry_detected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_campaign(pinned_result(pinned_specs()[0]), path)
+        text = path.read_text()
+        assert "# scene.geometry.nx: 4\n" in text
+        path.write_text(text.replace("# scene.geometry.nx: 4\n", ""))
+        with pytest.raises(TraceIntegrityError, match=r"c\.csv: bad campaign header: "
+                           r"missing scene entry 'scene\.geometry\.nx'"):
+            read_campaign(path)
+
+    def test_final_values_fewer_than_runs_detected(self, tmp_path):
+        # the spec hash does not cover the finals, so only their count refuses the file
+        spec = pinned_specs()[0]
+        path = tmp_path / "c.csv"
+        write_campaign(pinned_result(spec), path)
+        text = re.sub(r"(?m)^(# final_values_db: .*);[^;\n]*$", r"\1", path.read_text())
+        path.write_text(text)
+        with pytest.raises(TraceIntegrityError,
+                           match=rf"c\.csv: {spec.runs - 1} final values for {spec.runs} runs"):
+            read_campaign(path)
 
     def test_missing_header_field_detected(self, tmp_path, result):
         path = tmp_path / "c.csv"
