@@ -9,6 +9,7 @@ search code.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -30,6 +31,7 @@ class EvaluationBackend(Protocol):
         ...
 
 
+@dataclass(frozen=True)
 class SimulatedBackend:
     """Backend over a frozen :class:`~ris_sic.channel.Scene`.
 
@@ -38,25 +40,18 @@ class SimulatedBackend:
     deep nulls.  Off by default so algorithmic tests see the raw channel.
     """
 
-    def __init__(self, scene: channel.Scene, noise_floor_db: Optional[float] = None):
-        if noise_floor_db is not None and math.isnan(noise_floor_db):
+    scene: channel.Scene
+    noise_floor_db: Optional[float] = None
+
+    def __post_init__(self):
+        if self.noise_floor_db is not None and math.isnan(self.noise_floor_db):
             raise ValueError("noise_floor_db must not be NaN")
-        self._scene = scene
-        self._noise_floor_db = noise_floor_db
-
-    @property
-    def scene(self) -> channel.Scene:
-        return self._scene
-
-    @property
-    def noise_floor_db(self) -> Optional[float]:
-        return self._noise_floor_db
 
     def evaluate(self, config: RisConfig) -> SiReading:
-        per = channel.si_per_point_db(self._scene, config)
-        if self._noise_floor_db is not None:
-            per = np.maximum(per, self._noise_floor_db)
+        per = channel.si_per_point_db(self.scene, config)
+        if self.noise_floor_db is not None:
+            per = np.maximum(per, self.noise_floor_db)
         return SiReading.from_per_point(per)
 
     def dims(self) -> tuple[int, int]:
-        return (self._scene.nx, self._scene.ny)
+        return (self.scene.nx, self.scene.ny)

@@ -138,8 +138,8 @@ class CellParams(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        target_rad = math.radians(self.phase_target_deg)
-        if _split_phase_gap_rad(_SPLIT_BRACKET[1], self.quality_factor) < target_rad:
+        low, high = (_split_phase_gap_rad(s, self.quality_factor) for s in _SPLIT_BRACKET)
+        if not low <= math.radians(self.phase_target_deg) <= high:  # outside the solve's reach
             raise ValueError(f"phase target {self.phase_target_deg} deg unreachable with "
                              f"quality factor {self.quality_factor}")
 

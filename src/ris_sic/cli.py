@@ -66,13 +66,18 @@ def _best_path(out: Path, tag: str = "") -> Path:
     return out.with_name(out.stem + tag + ".best.txt")
 
 
-# campaign and sweep flag -> the CampaignSpec field it sets
-_CAMPAIGN_FIELDS = {"runs": "runs", "seed": "master_seed", "horizon": "horizon",
-                    "buffer": "buffer_size", "stall": "stall_limit"}
+# run flag -> the CampaignSpec field it sets and takes its default from, metavar, help
+_CAMPAIGN_FIELDS = {
+    "buffer": ("buffer_size", "B", "buffer size"),
+    "stall": ("stall_limit", "T", "terminate after T evaluations without improvement"),
+    "runs": ("runs", "R", "independent runs"),
+    "seed": ("master_seed", "S", "seed; campaign run r uses child stream r"),
+    "horizon": ("horizon", "N", "evaluation budget"),
+}
 
 
 def _campaign_fields(args) -> dict:
-    return {name: getattr(args, flag) for flag, name in _CAMPAIGN_FIELDS.items()}
+    return {name: getattr(args, flag) for flag, (name, *_) in _CAMPAIGN_FIELDS.items()}
 
 
 def _report_best(params: SceneParams, final_db: float) -> str:
@@ -210,19 +215,12 @@ def _add_grid_flags(p: _Parser):
                    help="frequency points across the bandwidth")
 
 
-def _add_search_flags(p: _Parser):
-    p.add_argument("--buffer", type=int, default=100, metavar="B",
-                   help="buffer size (default 100)")
-    p.add_argument("--stall", type=int, default=500, metavar="T",
-                   help="terminate after T evaluations without improvement (default 500)")
-
-
-def _add_campaign_flags(p: _Parser):
-    """The flags behind :data:`_CAMPAIGN_FIELDS`."""
-    _add_search_flags(p)
-    p.add_argument("--runs", type=int, default=100, metavar="R")
-    p.add_argument("--seed", type=int, default=0, help="master seed; run r uses child stream r")
-    p.add_argument("--horizon", type=int, default=5000, metavar="N")
+def _add_run_flags(p: _Parser, *flags: str):
+    """Flags of :data:`_CAMPAIGN_FIELDS`, each defaulting to its CampaignSpec field."""
+    for flag in flags:
+        name, metavar, text = _CAMPAIGN_FIELDS[flag]
+        p.add_argument(f"--{flag}", type=int, default=getattr(experiment.CampaignSpec, name),
+                       metavar=metavar, help=f"{text} (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -230,25 +228,19 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("optimize", help="single buffer-weighted search run")
-    _add_scene_flag(p)
-    _add_grid_flags(p)
-    _add_search_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-floor", type=float, default=None, metavar="DB",
-                   help="clamp per-point readings from below")
-    p.add_argument("--out", default="greedy_trace.csv")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("random", help="uniform random search baseline")
-    _add_scene_flag(p)
-    _add_grid_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=5000, metavar="N",
-                   help="evaluation budget (default 5000)")
-    p.add_argument("--noise-floor", type=float, default=None, metavar="DB")
-    p.add_argument("--out", default="random_trace.csv")
-    p.set_defaults(func=_cmd_search)
+    for command, text, flags, out in (
+            ("optimize", "single buffer-weighted search run", ("buffer", "stall", "seed"),
+             "greedy_trace.csv"),
+            ("random", "uniform random search baseline", ("seed", "horizon"),
+             "random_trace.csv")):
+        p = sub.add_parser(command, help=text)
+        _add_scene_flag(p)
+        _add_grid_flags(p)
+        _add_run_flags(p, *flags)
+        p.add_argument("--noise-floor", type=float, default=None, metavar="DB",
+                       help="clamp per-point readings from below")
+        p.add_argument("--out", default=out)
+        p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small surfaces")
     _add_scene_flag(p)
@@ -259,15 +251,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("campaign", help="multi-run averaged convergence study")
     _add_scene_flag(p)
     _add_grid_flags(p)
-    _add_campaign_flags(p)
-    p.add_argument("--algorithm", choices=experiment.ALGORITHMS, default="greedy")
+    _add_run_flags(p, *_CAMPAIGN_FIELDS)
+    p.add_argument("--algorithm", choices=experiment.ALGORITHMS,
+                   default=experiment.CampaignSpec.algorithm)
     p.add_argument("--out", default="campaign.csv")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("sweep", help="greedy campaigns across objective bandwidths, "
                        "with each point's best configuration")
     _add_scene_flag(p)
-    _add_campaign_flags(p)
+    _add_run_flags(p, *_CAMPAIGN_FIELDS)
     p.add_argument("--bandwidth", type=float, action="append", metavar="HZ",
                    help="repeatable; default 0, 5e6, 10e6")
     p.add_argument("--points", type=int, default=11, metavar="K")

@@ -188,7 +188,7 @@ def bandwidth_sweep(
 # --------------------------------------------------------------------------
 
 def transfer_snapshot(
-    scene: Scene, config: RisConfig, span_hz: float, points: int = 201
+    scene: Scene, config: RisConfig, span_hz: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """|H| in dB on a dense frequency axis about the scene center.
 

@@ -133,6 +133,8 @@ class GridSpec(Checked):
             raise ValueError("wideband grid needs points >= 2")
         if self.bandwidth_hz >= 2.0 * self.center_hz:
             raise ValueError("bandwidth exceeds the positive-frequency span")
+        if not math.isfinite(self.center_hz + self.bandwidth_hz / 2.0):
+            raise ValueError("bandwidth_hz puts the grid's top edge past the float range")
         if self.points > 1 and not np.all(np.diff(self.axis()) > 0.0):
             raise ValueError(f"the {self.points} points must be distinct float64 frequencies")
 

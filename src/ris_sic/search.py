@@ -188,9 +188,9 @@ class GreedyOptimizer:
     def __init__(
         self,
         backend: EvaluationBackend,
-        buffer_size: int = 100,
-        stall_limit: int = 500,
-        rng: Optional[np.random.Generator] = None,
+        buffer_size: int,
+        stall_limit: int,
+        rng: np.random.Generator,
     ):
         if buffer_size < 2:
             raise ValueError(f"buffer_size must be >= 2, got {buffer_size}")
@@ -199,7 +199,7 @@ class GreedyOptimizer:
         self.backend = backend
         self.buffer_size = buffer_size
         self.stall_limit = stall_limit
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self._rec = _Recorder(backend)
         self._nx, self._ny = backend.dims()
         self.termination_count = 0
@@ -297,9 +297,9 @@ class GreedyOptimizer:
 
 def greedy_optimize(
     backend: EvaluationBackend,
-    buffer_size: int = 100,
-    stall_limit: int = 500,
-    rng: Optional[np.random.Generator] = None,
+    buffer_size: int,
+    stall_limit: int,
+    rng: np.random.Generator,
     max_evaluations: Optional[int] = None,
 ) -> ConvergenceTrace:
     """Run the buffer-weighted search to stall-based termination.
@@ -311,14 +311,11 @@ def greedy_optimize(
 
 
 def random_search(
-    backend: EvaluationBackend,
-    iterations: int,
-    rng: Optional[np.random.Generator] = None,
+    backend: EvaluationBackend, iterations: int, rng: np.random.Generator
 ) -> ConvergenceTrace:
     """Uniform Bernoulli(0.5) sampling baseline over a fixed budget."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    rng = rng if rng is not None else np.random.default_rng()
     rec = _Recorder(backend)
     half = np.full(backend.dims(), 0.5)
     for _ in range(iterations):

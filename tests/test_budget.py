@@ -17,6 +17,8 @@ from ris_sic.budget import (
     residual_si_dbm,
 )
 
+pytestmark = pytest.mark.bitexact
+
 # 20*log10(4*pi*d*f/c0) at d = 1 m, f = 5.385 GHz
 FSPL_1M_REF = 47.071497374563381606
 # same with 3 dBi on both ends

@@ -280,6 +280,8 @@ class TestValidation:
          r"phase target 180\.0 deg unreachable with quality factor 1e-300"),
         ("phase_target_deg", 270.0, "phase_target_deg",
          r"phase_target_deg must be in \(0\.0, 180\.0\], got 270\.0"),
+        ("phase_target_deg", 1e-9, "[cell]",  # below the gap at the solver's smallest split
+         r"phase target 1e-09 deg unreachable with quality factor 8\.0"),
     ])
     def test_params_solver_and_scene_file_refuse_alike(self, key, value, where, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

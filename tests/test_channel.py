@@ -198,6 +198,15 @@ class TestGridSpec:
         lineno = text.splitlines().index("points = 10001") + 1
         with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: .*distinct float64"):
             parse_scene_text(text, source="doc.ini")
+        # a top edge past the float range is refused before the axis is built, at the
+        # scene file's bandwidth_hz line
+        with pytest.raises(ValueError, match="^bandwidth_hz puts the grid's top edge past"):
+            GridSpec(1.5e308, 1.5e308, 3)
+        text = edited_scene_text("center_hz", "1.5e308").replace(
+            "bandwidth_hz = 0.0", "bandwidth_hz = 1.5e308").replace("points = 1", "points = 3")
+        lineno = text.splitlines().index("bandwidth_hz = 1.5e308") + 1
+        with pytest.raises(SceneFormatError, match=rf"^doc\.ini:{lineno}: bandwidth_hz puts"):
+            parse_scene_text(text, source="doc.ini")
 
     @pytest.mark.parametrize("center, bandwidth, points", [
         (float("inf"), 0.0, 1), (float("nan"), 0.0, 1),
@@ -293,6 +302,7 @@ def built_scene(side, points):
     return build_scene(replace(p, geometry=replace(p.geometry, nx=side, ny=side), grid=grid))
 
 
+@pytest.mark.bitexact
 class TestTermTables:
     """The table kernel against the direct formula, bit for bit, and its memo."""
 
@@ -394,6 +404,7 @@ def full_tensor_tap_response(gains, delays, freqs):
     return np.einsum("...m,...mk->...k", gains, phase) / math.sqrt(m)
 
 
+@pytest.mark.bitexact
 class TestTapResponse:
     """Clutter taps cut along the frequency axis, as the callers cut it, against
     the full-tensor formula, byte for byte; ``block`` is points per call, so
@@ -486,6 +497,7 @@ def _float64_dispatch():
     return targets.pop() if len(targets) == 1 else None
 
 
+@pytest.mark.bitexact
 class TestChannelPins:
     """Channel synthesis bits, pinned per float64 dispatch target."""
 
@@ -536,6 +548,7 @@ class TestFrequencyBlocks:
     @pytest.mark.parametrize("name, points", [
         (name, points) for name in sorted(BLOCK_SCENES) for points in (2, 33, 201, 257, 2001)
         if (name, points) != ("16x16", 2001)])
+    @pytest.mark.bitexact
     def test_blocks_equal_unblocked(self, monkeypatch, name, points):
         from ris_sic.experiment import transfer_snapshot
 

@@ -12,7 +12,8 @@ import pytest
 from conftest import NON_FINITE_SCENE_EDITS, edited_scene_text
 from ris_sic import sceneio
 from ris_sic.channel import Geometry, GridSpec, default_scene_params
-from ris_sic.cli import main
+from ris_sic.cli import build_parser, main
+from ris_sic.experiment import CampaignSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +124,21 @@ class TestUsageErrors:
         assert rc == 0
         assert "ris-sic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flags", [
+        ("optimize", {"buffer", "stall", "seed"}),
+        ("random", {"seed", "horizon"}),
+        ("campaign", {"buffer", "stall", "runs", "seed", "horizon", "algorithm"}),
+        ("sweep", {"buffer", "stall", "runs", "seed", "horizon"}),
+    ])
+    def test_run_flag_defaults_are_the_campaign_spec_defaults(self, command, flags):
+        spec = CampaignSpec(default_scene_params())
+        expected = {"buffer": spec.buffer_size, "stall": spec.stall_limit, "runs": spec.runs,
+                    "seed": spec.master_seed, "horizon": spec.horizon,
+                    "algorithm": spec.algorithm}
+        args = vars(build_parser().parse_args([command]))
+        assert {flag: args[flag] for flag in flags} == {flag: expected[flag] for flag in flags}
+        assert not (expected.keys() - flags) & args.keys()
+
 
 class TestOptimize:
     def test_writes_trace_and_best(self, small_scene_file, tmp_path, capsys):
@@ -185,6 +201,27 @@ class TestOptimize:
         header = sceneio.read_trace(out).header
         assert header["scene.grid.bandwidth_hz"] == sceneio.fmt_float(10e6)
         assert header["scene.grid.points"] == "5"
+
+    def test_zero_bandwidth_makes_a_wideband_scene_narrowband(self, tmp_path):
+        p = default_scene_params()
+        p = replace(p, geometry=replace(p.geometry, nx=4, ny=4),
+                    grid=GridSpec(p.grid.center_hz, 10e6, 11))
+        scene, out = tmp_path / "wb.ini", tmp_path / "nb.csv"
+        sceneio.write_scene(p, scene)
+        assert run_cli("optimize", "--scene", scene, "--bandwidth", 0, "--seed", 1,
+                       "--buffer", 10, "--stall", 25, "--out", out) == 0
+        header = sceneio.read_trace(out).header
+        assert header["scene.grid.bandwidth_hz"] == sceneio.fmt_float(0.0)
+        assert header["scene.grid.points"] == "1"
+
+    def test_readme_command_runs_the_built_in_scene(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # ris-sic optimize --seed 0 --out greedy_trace.csv
+        assert run_cli("optimize", "--seed", 0, "--out", "greedy_trace.csv") == 0
+        header = sceneio.read_trace(tmp_path / "greedy_trace.csv").header
+        scene = sceneio.flatten_scene_params(default_scene_params(), "scene.")
+        assert {key: header[key] for key in scene} == scene
+        assert header["buffer_size"] == "100" and header["stall_limit"] == "500"
+        assert (tmp_path / "greedy_trace.best.txt").exists()
 
     def test_nan_bandwidth_is_domain_error(self, small_scene_file, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -106,6 +106,7 @@ class TestRunCampaign:
         assert len(res.traces) == 3
         assert res.spec_hash == campaign_spec_hash(spec)
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("runs", [1, 7, 8, 9, 20])
     @pytest.mark.parametrize("algorithm, horizon", [
         ("random", 1), ("random", 2), ("random", 3), ("random", 200),
@@ -143,6 +144,7 @@ class TestRunCampaign:
         assert type(cause) is EvaluationError and cause.iteration == 3
         assert len(calls) == 14
 
+    @pytest.mark.bitexact
     def test_streamed_mean_keeps_the_stack_signed_zeros(self, small_params):
         # the stack's sum starts from +0.0, so rows of -0.0 average to +0.0
         spec = small_spec(small_params, algorithm="random", runs=2, horizon=2)
@@ -325,6 +327,7 @@ class TestBandwidthSweep:
 
 
 class TestTransferSnapshot:
+    @pytest.mark.bitexact
     def test_grid_coincidence_is_exact(self, wideband_scene, wideband_params):
         # span/points equal to the evaluation grid -> identical frequencies
         # and bit-identical dB values

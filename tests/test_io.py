@@ -117,6 +117,7 @@ def make_trace(values, algorithm="greedy", **kw):
     )
 
 
+@pytest.mark.bitexact
 class TestMedian:
     def test_bits_equal_numpy_median(self):
         # odd and even lengths, -inf, and signed zeros, whose order a sort leaves open
@@ -866,6 +867,7 @@ def write_pinned(name, path):
         write_config_grid(config, path, header={"si_db": "-88.5"})
 
 
+@pytest.mark.bitexact
 class TestBytePins:
     @pytest.mark.parametrize("name", sorted(FILE_PINS))
     def test_written_bytes(self, tmp_path, name):

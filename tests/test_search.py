@@ -162,9 +162,9 @@ class TestGreedyOptimizer:
     def test_constructor_validation(self):
         backend = HashBackend(2, 2)
         with pytest.raises(ValueError):
-            GreedyOptimizer(backend, buffer_size=1, stall_limit=10)
+            GreedyOptimizer(backend, buffer_size=1, stall_limit=10, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            GreedyOptimizer(backend, buffer_size=4, stall_limit=0)
+            GreedyOptimizer(backend, buffer_size=4, stall_limit=0, rng=np.random.default_rng(0))
 
     def test_trace_metadata(self):
         tr = greedy_optimize(FlatBackend(), 6, 9, np.random.default_rng(0))
@@ -362,7 +362,7 @@ class TestRandomSearch:
 
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
-            random_search(HashBackend(2, 2), 0)
+            random_search(HashBackend(2, 2), 0, np.random.default_rng(0))
 
     def test_seeded_reproducibility(self):
         t1 = random_search(HashBackend(3, 3), 30, np.random.default_rng(4))
