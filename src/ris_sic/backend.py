@@ -8,14 +8,13 @@ search code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from . import channel
-from .model import RisConfig, SiReading
+from .model import Checked, RisConfig, SiReading
 
 
 @runtime_checkable
@@ -32,20 +31,19 @@ class EvaluationBackend(Protocol):
 
 
 @dataclass(frozen=True)
-class SimulatedBackend:
+class SimulatedBackend(Checked):
     """Backend over a frozen :class:`~ris_sic.channel.Scene`.
 
     ``noise_floor_db``, when set, clamps every per-point reading from below —
     a deterministic stand-in for a receiver that cannot resolve arbitrarily
-    deep nulls.  Off by default so algorithmic tests see the raw channel.
+    deep nulls.  It must be finite or ``-inf`` (which clamps nothing).  Off by
+    default so algorithmic tests see the raw channel.
     """
+
+    NEG_INF_OK = ("noise_floor_db",)
 
     scene: channel.Scene
     noise_floor_db: Optional[float] = None
-
-    def __post_init__(self):
-        if self.noise_floor_db is not None and math.isnan(self.noise_floor_db):
-            raise ValueError("noise_floor_db must not be NaN")
 
     def evaluate(self, config: RisConfig) -> SiReading:
         per = channel.si_per_point_db(self.scene, config)

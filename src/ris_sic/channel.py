@@ -178,7 +178,7 @@ class _ChannelModel:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class Scene:
+class Scene(Checked):
     """Frozen frequency-domain SI channel description.
 
     ``direct`` has shape (K,), ``h`` and ``g`` have shape (N, K) with
@@ -191,11 +191,12 @@ class Scene:
     h: np.ndarray
     g: np.ndarray
     cell: UnitCellModel
-    nx: int
-    ny: int
+    nx: int = bounded(ge=1)
+    ny: int = bounded(ge=1)
     channel_model: Optional[_ChannelModel] = None
 
     def __post_init__(self):
+        super().__post_init__()
         k = self.grid.k
         n = self.nx * self.ny
         direct = np.array(self.direct, dtype=np.complex128)
@@ -216,8 +217,8 @@ class Scene:
             paths, amp = np.abs(h), max(self.cell.amplitude_on, self.cell.amplitude_off)
             for row, g_row in zip(paths, g):  # paths is the one (N, K) temporary
                 row *= amp * np.abs(g_row)
-            bounded = np.isfinite(2.0 * (np.abs(direct) + paths.sum(axis=0))).all()
-        if not bounded:
+            fits = np.isfinite(2.0 * (np.abs(direct) + paths.sum(axis=0))).all()
+        if not fits:
             raise ValueError("|direct| + max(a_on, a_off) * sum |h||g| overflows, "
                              "so a configuration's reading could too")
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__, experiment, sceneio, search
 from .backend import SimulatedBackend
 from .channel import GridSpec, SceneParams, build_scene, default_scene_params
+from .model import WIDEBAND_POINTS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,21 +38,14 @@ def _load_params(args) -> SceneParams:
 
 
 def _apply_grid_flags(params: SceneParams, args) -> SceneParams:
-    bandwidth = getattr(args, "bandwidth", None)
-    points = getattr(args, "points", None)
-    if bandwidth is None and points is None:
-        return params
-    bw = params.grid.bandwidth_hz if bandwidth is None else float(bandwidth)
-    if bw == 0.0:
-        if points not in (None, 1):
-            raise ValueError(f"--points {points} needs a non-zero --bandwidth; "
-                             f"a narrowband grid has 1 point")
-        k = 1
-    elif points is not None:
-        k = int(points)
+    """The scene with ``--bandwidth``/``--points`` applied; :class:`GridSpec` checks them."""
+    grid = params.grid
+    bw = grid.bandwidth_hz if args.bandwidth is None else args.bandwidth
+    if args.points is not None:
+        k = args.points
     else:
-        k = params.grid.points if params.grid.points >= 2 else 11
-    return replace(params, grid=GridSpec(params.grid.center_hz, bw, k))
+        k = 1 if bw == 0.0 else grid.points if grid.points > 1 else WIDEBAND_POINTS
+    return replace(params, grid=GridSpec(grid.center_hz, bw, k))
 
 
 def _scene_header(params: SceneParams, seed: Optional[int] = None) -> dict[str, str]:
@@ -263,7 +257,8 @@ def build_parser() -> _Parser:
     _add_run_flags(p, *_CAMPAIGN_FIELDS)
     p.add_argument("--bandwidth", type=float, action="append", metavar="HZ",
                    help="repeatable; default 0, 5e6, 10e6")
-    p.add_argument("--points", type=int, default=11, metavar="K")
+    p.add_argument("--points", type=int, default=WIDEBAND_POINTS, metavar="K",
+                   help="frequency points at each non-zero bandwidth (default %(default)s)")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
 

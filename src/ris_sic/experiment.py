@@ -20,7 +20,7 @@ from .backend import SimulatedBackend
 from .channel import (
     Scene, SceneParams, _amplitude_db, _check_dims, build_scene, freq_blocks, transfer_vector,
 )
-from .model import Checked, GridSpec, RisConfig, bounded
+from .model import WIDEBAND_POINTS, Checked, GridSpec, RisConfig, bounded
 from .search import ConvergenceTrace, greedy_optimize, random_search
 from .sceneio import FINAL_STATS, flatten_campaign_spec, now_utc
 
@@ -161,9 +161,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
 # bandwidth sweep
 # --------------------------------------------------------------------------
 
-def bandwidth_sweep(
-    scene: SceneParams, bandwidths_hz: Sequence[float], points: int = 11, **campaign
-) -> list[CampaignResult]:
+def bandwidth_sweep(scene: SceneParams, bandwidths_hz: Sequence[float],
+                    points: int = WIDEBAND_POINTS, **campaign) -> list[CampaignResult]:
     """One greedy campaign per bandwidth, in request order, on otherwise equal scenes.
 
     Bandwidth 0 means the narrowband single-point objective; every other value

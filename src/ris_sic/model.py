@@ -113,6 +113,7 @@ class RisConfig:
 
 
 DEFAULT_CENTER_HZ = 5.385e9
+WIDEBAND_POINTS = 11  # a wideband grid's point count when none is given
 
 
 @dataclass(frozen=True)

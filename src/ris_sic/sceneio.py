@@ -173,7 +173,7 @@ def _format_value(kind: type, value) -> str:
 
 def parse_scene(path: PathLike) -> SceneParams:
     path = Path(path)
-    return parse_scene_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_scene_text(path.read_text(encoding="utf-8-sig"), source=str(path))
 
 
 def format_scene(params: SceneParams) -> str:

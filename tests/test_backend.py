@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,21 @@ def test_noise_floor_leaves_loud_readings_alone():
 
 
 def test_nan_noise_floor_rejected_at_construction():
-    with pytest.raises(ValueError, match="noise_floor_db must not be NaN"):
+    with pytest.raises(ValueError, match="noise_floor_db must be finite, got nan"):
         SimulatedBackend(synthetic_scene(2, 2), noise_floor_db=float("nan"))
+
+
+def test_infinite_noise_floor_rejected_at_construction():
+    with pytest.raises(ValueError, match="^noise_floor_db must be finite, got inf$"):
+        SimulatedBackend(synthetic_scene(2, 2), noise_floor_db=math.inf)
+
+
+def test_minus_infinite_noise_floor_clamps_nothing():
+    scene = synthetic_scene(3, 2, points=4, seed=2)
+    floor, raw = SimulatedBackend(scene, noise_floor_db=-math.inf), SimulatedBackend(scene)
+    for config in (RisConfig.all_on(3, 2), RisConfig.all_off(3, 2)):
+        assert np.array_equal(floor.evaluate(config).per_point_db,
+                              raw.evaluate(config).per_point_db)
 
 
 def test_protocol_conformance():

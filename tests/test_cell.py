@@ -146,6 +146,12 @@ class TestBrentqMatchesScipy:
         assert ours[0] is error
         assert ours == _solve(scipy_brentq, f, a, b, **kw)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (-1.0, 0.5)], ids=["root-at-a", "root-at-b"])
+    def test_root_at_a_bracket_end(self, scipy_brentq, a, b):
+        kw = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps)
+        ours = _solve(_brentq, lambda x: x - 0.5, a, b, **kw)
+        assert ours == _solve(scipy_brentq, lambda x: x - 0.5, a, b, **kw) == (0.5).hex()
+
 
 class TestReflection:
     def test_magnitude_is_state_amplitude_everywhere(self):

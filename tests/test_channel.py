@@ -655,6 +655,14 @@ class TestSceneObject:
                 cell=s.cell, nx=2, ny=2,
             )
 
+    # h and g get |nx * ny| rows, so the shape checks pass and only the bound can refuse
+    @pytest.mark.parametrize("nx, ny, field", [(0, 5, "nx"), (-1, -1, "nx"), (2, -1, "ny")])
+    def test_dimensions_below_one_rejected(self, nx, ny, field):
+        s, rows = synthetic_scene(1, 1, points=1), abs(nx * ny)
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {min(nx, ny)}$"):
+            Scene.from_arrays(s.grid, s.direct, np.ones((rows, 1)), np.ones((rows, 1)),
+                              s.cell, nx, ny)
+
     def test_synthetic_scene_has_no_generative_model(self):
         s = synthetic_scene(2, 2)
         with pytest.raises(ValueError, match="generative"):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, created files, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
@@ -52,6 +53,13 @@ class TestValidate:
         path = tmp_path / "zero.ini"
         sceneio.write_scene(p, path)
         assert run_cli("validate", "--scene", path) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + (REPO_ROOT / "scenes" / "default.ini").read_bytes())
+        assert sceneio.parse_scene(bom) == default_scene_params()
+        assert run_cli("validate", "--scene", bom) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_missing_file_is_domain_error(self, capsys):
@@ -234,8 +242,25 @@ class TestOptimize:
         out = tmp_path / "t.csv"
         rc = run_cli("optimize", "--scene", small_scene_file, "--points", 11, "--out", out)
         assert rc == 2
-        assert "--points 11 needs a non-zero --bandwidth" in capsys.readouterr().err
+        assert "narrowband grid (bandwidth 0) must have exactly 1 point" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_noise_floor_is_domain_error(self, small_scene_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = run_cli("optimize", "--scene", small_scene_file, "--noise-floor", "inf",
+                     "--out", out)
+        assert rc == 2
+        assert "noise_floor_db must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minus_infinite_noise_floor_clamps_nothing(self, small_scene_file, tmp_path):
+        # argparse reads a bare "-inf" as a flag, so the README writes it with "="
+        floor, raw = tmp_path / "floor.csv", tmp_path / "raw.csv"
+        assert run_cli("optimize", "--scene", small_scene_file, "--noise-floor=-inf",
+                       "--out", floor) == 0
+        assert run_cli("optimize", "--scene", small_scene_file, "--out", raw) == 0
+        np.testing.assert_array_equal(sceneio.read_trace(floor).evaluated_db,
+                                      sceneio.read_trace(raw).evaluated_db)
 
 
 class TestRandom:
@@ -256,7 +281,7 @@ class TestRandom:
         rc = run_cli("random", "--scene", small_scene_file, "--noise-floor", "nan",
                      "--horizon", 10, "--out", out)
         assert rc == 2
-        assert "noise_floor_db must not be NaN" in capsys.readouterr().err
+        assert "noise_floor_db must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -427,6 +452,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ris-sic" in proc.stdout
+
+
+def test_module_entry_point_passes_on_the_exit_code():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    version, missing = (
+        subprocess.run([sys.executable, "-m", "ris_sic", *args], capture_output=True,
+                       text=True, env=env)
+        for args in (["--version"], ["validate", "--scene", "no_such_file.ini"]))
+    assert (version.returncode, version.stdout) == (0, "ris-sic 0.1.0\n")
+    assert missing.returncode == 2 and "ris-sic: error:" in missing.stderr
 
 
 def test_package_imports_without_scipy():

@@ -461,6 +461,7 @@ class TestTraceFiles:
         ("3,-41.0,-42.0 # note", r"t\.csv:8: bad data row: '3,-41.0,-42.0 # note'"),
         ("# seed: 8", r"t\.csv:8: row has 1 fields, expected 3"),
         ("   ", r"t\.csv:8: row has 1 fields, expected 3"),
+        ("\n3,-41.0,-42.0,0.0", r"t\.csv:9: row has 4 fields, expected 3"),  # after a blank line
         # Python's float() takes digit underscores, numpy's reader does not
         ("3,1_0,-42.0", r"t\.csv: bad data row: could not convert string '1_0'"),
     ])

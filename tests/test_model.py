@@ -34,6 +34,7 @@ class TestRisConfig:
         assert hash(a) == hash(b)
         assert a != c
         assert a != RisConfig(np.array([[True], [False]]))  # transposed shape
+        assert a != (True, False)  # not a RisConfig
 
     def test_immutable(self):
         c = RisConfig.all_off(2, 2)
@@ -127,6 +128,7 @@ class TestSiReading:
         b = SiReading.from_per_point([-50.0, -44.0])
         assert a == b
         assert a != SiReading.from_per_point([-50.0, -45.0])
+        assert a != -44.0  # not a SiReading
 
     def test_per_point_frozen(self):
         r = SiReading.from_per_point([-50.0, -44.0])

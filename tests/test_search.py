@@ -159,6 +159,12 @@ class TestGreedyOptimizer:
         assert SiReading.from_per_point(si_per_point_db(scene, tr.best_config)) == tr.best_reading
         assert tr.best_reading.magnitude_db == tr.cumulative[-1]
 
+    def test_best_config_is_the_traces(self):
+        opt = GreedyOptimizer(HashBackend(3, 3, salt=2), buffer_size=6, stall_limit=20,
+                              rng=np.random.default_rng(4))
+        opt.run(max_evaluations=40)
+        assert opt.best_config == opt.trace().best_config
+
     def test_constructor_validation(self):
         backend = HashBackend(2, 2)
         with pytest.raises(ValueError):
