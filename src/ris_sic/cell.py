@@ -17,10 +17,8 @@ Every SI evaluation asks for the same two reflections on the same grid, so
 :meth:`UnitCellModel.reflection` keeps one ``(freqs, gamma)`` slot per state.
 A slot is reused only for the very same frequency array and filled only when
 that array cannot change (:func:`_immutable`); any other axis, such as a
-snapshot block cut from a writable ``linspace``, is computed afresh, never
-stored and returned as a view owning no data; :mod:`ris_sic.channel` keeps its
-term table under the same rule, so it stores none for that axis either.  Array
-results are read-only, and scalar frequencies are computed afresh.
+snapshot block cut from a writable ``linspace``, is computed afresh and never
+stored.  Array results are read-only, and scalar frequencies are computed afresh.
 
 The resonance split is found by :func:`_brentq`, a port of Brent's method
 (Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4) that
@@ -206,8 +204,7 @@ class UnitCellModel(Checked):
         """Complex reflection coefficient; broadcasts over frequency arrays.
 
         Array results are read-only, and the last one per state is returned
-        again for the same immutable array; for any other array the result is
-        a view owning no data, which no cache stores.  A scalar gives a scalar.
+        again for the same immutable array.  A scalar gives a scalar.
         """
         f = np.asarray(f_hz, dtype=np.float64)
         kept = self._reflection_memo.get(bool(state))
@@ -218,9 +215,8 @@ class UnitCellModel(Checked):
         gamma = amp * np.exp(1j * np.asarray(_pole_phase(f, res, self.quality_factor)))
         if f.ndim:
             gamma.setflags(write=False)
-            if not _immutable(f):
-                return gamma.view()
-            self._reflection_memo[bool(state)] = (f, gamma)
+            if _immutable(f):
+                self._reflection_memo[bool(state)] = (f, gamma)
         return gamma
 
     def phase_difference_deg(self, f_hz: float) -> float:

@@ -296,10 +296,10 @@ def build_scene(params: SceneParams, seed: Optional[int] = None) -> Scene:
 # evaluation
 # --------------------------------------------------------------------------
 
-def _path_terms(h, g, gamma_on, gamma_off) -> tuple[np.ndarray, np.ndarray]:
+def _path_terms(h, g, gamma_on, gamma_off, freqs) -> tuple[np.ndarray, np.ndarray]:
     """The (2N, K) table with element i's ``h*gamma_off*g`` at row 2i and its
-    ``h*gamma_on*g`` at 2i+1, and the offsets ``2*arange(N)``; memoised as
-    :func:`transfer_vector` describes."""
+    ``h*gamma_on*g`` at 2i+1, for reflections read on ``freqs``, and the offsets
+    ``2*arange(N)``; memoised as :func:`transfer_vector` describes."""
     global _PATH_TERMS_LAST
     last_h, last_g, last_on, last_off, table, rows = _PATH_TERMS_LAST
     if h is last_h and g is last_g and gamma_on is last_on and gamma_off is last_off:
@@ -307,7 +307,7 @@ def _path_terms(h, g, gamma_on, gamma_off) -> tuple[np.ndarray, np.ndarray]:
     table = np.stack((h * gamma_off * g, h * gamma_on * g), axis=1).reshape(-1, h.shape[-1])
     rows = 2 * np.arange(h.shape[0])
     table.setflags(write=False)
-    if _immutable(h, g, gamma_on, gamma_off):
+    if _immutable(h, g, freqs):
         _PATH_TERMS_LAST = (h, g, gamma_on, gamma_off, table, rows)
     return table, rows
 
@@ -318,15 +318,15 @@ def transfer_vector(direct, h, g, cell: UnitCellModel, freqs, flat_states) -> np
     Single canonical kernel: every SI evaluation in the package goes through
     this, so readings from different entry points agree bit-exactly.  Element
     i adds row ``2i + state_i`` of one read-only table stacking its two terms
-    (see :func:`_path_terms`).  The last table is kept with ``h``, ``g`` and
-    both reflections under the rule of :meth:`UnitCellModel.reflection`: reused
-    only for the very same four objects, stored only when all four are
-    immutable; so at most one scene's table stays alive.  The gathered (N, K)
-    rows are in C order and ``sum(axis=0)`` fixes the bits (rows are added in
-    sequence at K > 1, pairwise at K = 1); a transposed table or
-    ``base + S @ (T_on - T_off)`` would not be bit-equal.
+    (see :func:`_path_terms`).  The last table is reused only for the very
+    same ``h``, ``g`` and two reflections, and stored only when ``h``, ``g`` and
+    ``freqs`` are immutable, so at most one scene's table stays alive.  The
+    gathered (N, K) rows are in C order and ``sum(axis=0)`` fixes the bits
+    (rows are added in sequence at K > 1, pairwise at K = 1); a transposed
+    table or ``base + S @ (T_on - T_off)`` would not be bit-equal.
     """
-    table, rows = _path_terms(h, g, cell.reflection(True, freqs), cell.reflection(False, freqs))
+    table, rows = _path_terms(h, g, cell.reflection(True, freqs),
+                              cell.reflection(False, freqs), freqs)
     return direct + table.take(rows + flat_states, axis=0).sum(axis=0)
 
 

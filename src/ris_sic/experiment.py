@@ -84,7 +84,6 @@ class CampaignResult:
     spec: CampaignSpec
     traces: tuple[ConvergenceTrace, ...]
     created_utc: str
-    spec_hash: str = field(init=False)
     mean_curve: np.ndarray = field(init=False)  # (horizon,)
     final_values: np.ndarray = field(init=False)  # (runs,)
 
@@ -99,10 +98,11 @@ class CampaignResult:
             total += curve
             finals[r] = curve[-1]
         mean = np.mean(finals, keepdims=True) if total.size == 1 else total / finals.size
-        object.__setattr__(self, "spec_hash", campaign_spec_hash(self.spec))
         for name, value in (("mean_curve", mean), ("final_values", finals)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    spec_hash = property(lambda self: campaign_spec_hash(self.spec))
 
     @property
     def curves(self) -> np.ndarray:

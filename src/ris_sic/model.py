@@ -26,9 +26,10 @@ def bounded(default=MISSING, *, ge=None, gt=None, le=None):
 
 class Checked:
     """Dataclass mixin that checks every field once the object is built: a float
-    must be finite, bar ``-inf`` in a field named in ``NEG_INF_OK``, and a
-    :func:`bounded` field must lie in its range.  Each message starts with the
-    field's name, so a scene file's bad value is refused at that key's line."""
+    must be finite, bar ``-inf`` in a field named in ``NEG_INF_OK``, an ``int``
+    field must hold an integer, and a :func:`bounded` field must lie in its range.
+    Each message starts with the field's name, so a scene file's bad value is
+    refused at that key's line."""
 
     NEG_INF_OK = ()  # names of fields that may be -inf
 
@@ -38,6 +39,8 @@ class Checked:
             if isinstance(value, float) and not math.isfinite(value) and not (
                     value == -math.inf and f.name in self.NEG_INF_OK):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type in ("int", int) and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value}")
             if "bound" in f.metadata:
                 lo, strict, hi, rule = f.metadata["bound"]
                 if (value <= lo if strict else value < lo) or (hi is not None and value > hi):

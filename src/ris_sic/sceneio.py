@@ -375,8 +375,10 @@ def read_trace(path: PathLike) -> LoadedTrace:
             f"{path}: cumulative column is not the running minimum "
             f"(first mismatch at iteration {bad + 1})"
         )
+    # final_db is the incumbent's reading: the earliest that equals the rows' minimum
+    final = evaluated[np.argmax(cumulative == cumulative[-1])]
     for key, expected in (("iterations_total", str(data.shape[0])),
-                          ("final_db", fmt_float(cumulative[-1]))):
+                          ("final_db", fmt_float(final))):
         if header.get(key) != expected:
             raise TraceIntegrityError(
                 f"{path}: {key} is {header.get(key)} but the rows give {expected}"
@@ -424,10 +426,10 @@ def read_config_grid(path: PathLike) -> RisConfig:
 @dataclass(frozen=True, eq=False)
 class LoadedCampaign:
     spec: "CampaignSpec"
-    spec_hash: str
     header: dict[str, str]
     mean_curve_db: np.ndarray
     final_values_db: np.ndarray
+    spec_hash = property(lambda self: self.header["spec_hash"])  # checked against the spec
 
 
 def write_campaign(result: "CampaignResult", path: PathLike) -> None:
@@ -454,8 +456,7 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
         raise TraceIntegrityError(f"{path}: incomplete campaign header: {exc}") from exc
     except ValueError as exc:
         raise TraceIntegrityError(f"{path}: bad campaign header: {exc}") from exc
-    recorded = header.get("spec_hash", "")
-    if campaign_spec_hash(spec) != recorded:
+    if campaign_spec_hash(spec) != header.get("spec_hash"):
         raise TraceIntegrityError(
             f"{path}: spec hash mismatch; header was edited or written by an "
             f"incompatible version"
@@ -492,13 +493,7 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
         raise TraceIntegrityError(
             f"{path}: mean curve rises at iteration {rises[0] + 2}; runs never get worse"
         )
-    return LoadedCampaign(
-        spec=spec,
-        spec_hash=recorded,
-        header=header,
-        mean_curve_db=curve,
-        final_values_db=finals,
-    )
+    return LoadedCampaign(spec=spec, header=header, mean_curve_db=curve, final_values_db=finals)
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ exhaustive enumeration for small surfaces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,7 +66,6 @@ class ConvergenceTrace:
     buffer_size: Optional[int] = None
     stall_limit: Optional[int] = None
     wall_time_s: float = 0.0
-    iterations_total: int = field(init=False)
 
     def __post_init__(self):
         ev = np.array(self.evaluated, dtype=np.float64)
@@ -79,7 +78,8 @@ class ConvergenceTrace:
             raise ValueError("best_reading does not match the final cumulative value")
         ev.setflags(write=False)
         object.__setattr__(self, "evaluated", ev)
-        object.__setattr__(self, "iterations_total", ev.size)
+
+    iterations_total = property(lambda self: self.evaluated.size)
 
     @property
     def cumulative(self) -> np.ndarray:

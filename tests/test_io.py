@@ -5,8 +5,10 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from ris_sic.experiment import (
     transfer_snapshot,
 )
 from ris_sic.model import RisConfig, SiReading
-from ris_sic.search import ConvergenceTrace
+from ris_sic.search import ConvergenceTrace, greedy_optimize, random_search
 from ris_sic.sceneio import (
     SceneFormatError,
     TraceIntegrityError,
@@ -331,6 +333,43 @@ class TestGeneratedScenes:
         backend = SimulatedBackend(scene)
         for config in (RisConfig.all_off(nx, ny), RisConfig.all_on(nx, ny), mixed):
             assert not math.isnan(backend.evaluate(config).magnitude_db)
+
+
+class _ScriptedBackend:
+    """Hands out the given readings in order, one per evaluation, on a 2x2 surface."""
+
+    def __init__(self, readings):
+        self._readings = iter(readings)
+
+    def evaluate(self, config):
+        return SiReading.from_per_point([next(self._readings)])
+
+    def dims(self):
+        return (2, 2)
+
+
+# a few distinct readings, drawn again and again so that ties are common
+_READINGS = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([0.0, -0.0, -math.inf])), min_size=1, max_size=5,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+
+
+@pytest.mark.bitexact
+@given(_READINGS, st.sampled_from(["random", "greedy"]), st.integers(1, 40))
+@example([0.0, -0.0], "random", 1)
+@example([-1.0, 0.0, -1.0, 0.0, -0.0], "greedy", 40)
+@settings(max_examples=200, deadline=None)
+def test_every_search_trace_reads_back(readings, algorithm, stall_limit):
+    backend, rng = _ScriptedBackend(readings), np.random.default_rng(0)
+    if algorithm == "random":
+        trace = random_search(backend, len(readings), rng)
+    else:
+        trace = greedy_optimize(backend, 2, stall_limit, rng, len(readings))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trace(trace, path)
+        assert read_trace(path).evaluated_db.tobytes() == trace.evaluated.tobytes()
 
 
 class TestTraceFiles:

@@ -1,11 +1,12 @@
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ris_sic.model import FrequencyGrid, RisConfig, SiReading
+from ris_sic.model import Checked, FrequencyGrid, RisConfig, SiReading
 
 
 class TestRisConfig:
@@ -167,3 +168,40 @@ class TestSiReading:
         r = SiReading.from_per_point(vals)
         assert r.magnitude_db == max(vals)
         assert r.per_point_db.size == len(vals)
+
+
+def _checked_samples():
+    """One valid instance of every ``Checked`` dataclass in the package."""
+    from ris_sic.backend import SimulatedBackend
+    from ris_sic.cell import CellParams, UnitCellModel
+    from ris_sic.channel import (
+        Calibration, ClutterParams, Geometry, build_scene, default_scene_params,
+    )
+    from ris_sic.experiment import CampaignSpec
+    from ris_sic.model import GridSpec
+
+    params = default_scene_params()
+    scene = build_scene(replace(params, geometry=replace(params.geometry, nx=2, ny=2)))
+    return [GridSpec(), Geometry(), Calibration(), ClutterParams(), CellParams(),
+            UnitCellModel.with_phase_target(5.385e9), scene, SimulatedBackend(scene),
+            CampaignSpec(params)]
+
+
+# (instance, name) for every field annotated int of every Checked dataclass
+INT_FIELDS = [(obj, f.name) for obj in _checked_samples()
+              for f in fields(obj) if f.type in ("int", int)]
+
+
+class TestChecked:
+    def test_samples_cover_every_checked_dataclass(self):
+        assert {type(obj) for obj in _checked_samples()} == set(Checked.__subclasses__())
+        assert {"points", "nx", "taps", "seed", "horizon"} <= {name for _, name in INT_FIELDS}
+
+    @pytest.mark.parametrize("obj, name", INT_FIELDS,
+                             ids=[f"{type(obj).__name__}.{name}" for obj, name in INT_FIELDS])
+    def test_int_field_refuses_a_float(self, obj, name):
+        value = getattr(obj, name)
+        for bad in (value + 0.5, float(value), np.float64(value)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad}$"):
+                replace(obj, **{name: bad})
+        assert getattr(replace(obj, **{name: np.int64(value)}), name) == value
