@@ -16,7 +16,7 @@ import re
 import tempfile
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -254,41 +254,43 @@ def _write_table(
     _atomic_write(path, (line + "\n" for line in lines))
 
 
+def _read_header(fh, path: Path, magic: str) -> tuple[dict[str, str], int]:
+    """Checks the magic line, then reads ``# key: value`` lines (blank lines and ``#``
+    lines without a colon are skipped), refusing a repeated key, up to the first other
+    line.  Leaves ``fh`` at that line; returns the header and that line's number."""
+    if fh.readline().strip() != magic:
+        raise TraceIntegrityError(f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)")
+    header, first = {}, {}  # header key -> its value, and -> its line number
+    for lineno in count(2):
+        start, line = fh.tell(), fh.readline()
+        stripped = line.strip()
+        if not line or (stripped and not stripped.startswith("#")):
+            fh.seek(start)
+            return header, lineno
+        key, colon, value = stripped.lstrip("#").strip().partition(":")
+        if colon:
+            key = key.strip()
+            if key in first:
+                raise TraceIntegrityError(f"{path}:{lineno}: duplicate header key "
+                                          f"{key!r}, first at line {first[key]}")
+            header[key], first[key] = value.strip(), lineno
+
+
 def _read_table(
     path: PathLike, magic: str, columns: Sequence[str]
 ) -> tuple[dict[str, str], np.ndarray]:
-    """Returns (header dict, data array of shape (rows, len(columns))).  Header
-    lines (blank or ``#``) end at the first data row; numpy parses the rest."""
+    """Returns (header dict, data array of shape (rows, len(columns))).  The
+    header's ``columns`` entry is checked and dropped; numpy parses the rows."""
     path, width = Path(path), len(columns)
     with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != magic:
-            raise TraceIntegrityError(
-                f"{path}: not a '{magic.lstrip('# ')}' file (bad first line)"
-            )
-        header: dict[str, str] = {}
-        first: dict[str, int] = {}  # header key -> its line number
-        lineno, seen_columns = 1, False
-        while True:
-            start, line = fh.tell(), fh.readline()
-            lineno += 1
-            stripped = line.strip()
-            if not line or (stripped and not stripped.startswith("#")):
-                break
-            key, colon, value = stripped.lstrip("#").strip().partition(":")
-            if colon and key.strip() == "columns":
-                found = [c.strip() for c in value.split(",")]
-                if found != list(columns):
-                    raise TraceIntegrityError(f"{path}: unexpected columns {found}")
-                seen_columns = True
-            elif colon:
-                key = key.strip()
-                if key in first:
-                    raise TraceIntegrityError(f"{path}:{lineno}: duplicate header key "
-                                              f"{key!r}, first at line {first[key]}")
-                header[key], first[key] = value.strip(), lineno
-        if not seen_columns:
+        header, lineno = _read_header(fh, path, magic)
+        if "columns" not in header:
             raise TraceIntegrityError(f"{path}: missing '# columns:' line")
-        if not line:
+        found = [c.strip() for c in header.pop("columns").split(",")]
+        if found != list(columns):
+            raise TraceIntegrityError(f"{path}: unexpected columns {found}")
+        start = fh.tell()
+        if not fh.readline():
             raise TraceIntegrityError(f"{path}: no data rows")
         fh.seek(start)
         error: Optional[ValueError] = None
@@ -317,6 +319,20 @@ def _read_table(
                 ) from exc
     # float() also takes digit underscores and non-ASCII digits; numpy does not
     raise TraceIntegrityError(f"{path}: bad data row: {error}") from error
+
+
+def _check_column(path: Path, rule: str, got: np.ndarray, expected: np.ndarray) -> None:
+    """Refuses ``got`` unless each entry equals ``expected``'s and has its sign; NaN never does."""
+    bad = np.flatnonzero((got != expected) | (np.signbit(got) != np.signbit(expected)))
+    if bad.size:
+        raise TraceIntegrityError(f"{path}: {rule} (first mismatch at iteration {bad[0] + 1})")
+
+
+def _check_header(path: Path, header: dict, source: str, derived: dict) -> None:
+    """Refuses a header whose entry for a key of ``derived`` is not the value given there."""
+    for key, expected in derived.items():
+        if (got := header.get(key)) != expected:
+            raise TraceIntegrityError(f"{path}: {key} is {got} but {source} give {expected}")
 
 
 # --------------------------------------------------------------------------
@@ -364,25 +380,16 @@ def read_trace(path: PathLike) -> LoadedTrace:
     """Load a trace table; rejects tampered cumulative columns and a header
     whose ``iterations_total`` or ``final_db`` disagrees with the rows."""
     header, data = _read_table(path, TRACE_MAGIC, TRACE_COLUMNS)
-    if not np.array_equal(data[:, 0], np.arange(1, data.shape[0] + 1)):
-        raise TraceIntegrityError(f"{path}: iteration column must count 1..N")
+    _check_column(path, "iteration column must count 1..N",
+                  data[:, 0], np.arange(1, data.shape[0] + 1))
     evaluated = data[:, 1].copy()  # so the (rows, 3) table is freed on return
     cumulative = data[:, 2]
-    expected = np.minimum.accumulate(evaluated)
-    if not np.array_equal(cumulative, expected):
-        bad = int(np.nonzero(cumulative != expected)[0][0])
-        raise TraceIntegrityError(
-            f"{path}: cumulative column is not the running minimum "
-            f"(first mismatch at iteration {bad + 1})"
-        )
+    _check_column(path, "cumulative column is not the running minimum",
+                  cumulative, np.minimum.accumulate(evaluated))
     # final_db is the incumbent's reading: the earliest that equals the rows' minimum
     final = evaluated[np.argmax(cumulative == cumulative[-1])]
-    for key, expected in (("iterations_total", str(data.shape[0])),
-                          ("final_db", fmt_float(final))):
-        if header.get(key) != expected:
-            raise TraceIntegrityError(
-                f"{path}: {key} is {header.get(key)} but the rows give {expected}"
-            )
+    _check_header(path, header, "the rows", {"iterations_total": str(data.shape[0]),
+                                             "final_db": fmt_float(final)})
     return LoadedTrace(header, evaluated)
 
 
@@ -403,14 +410,17 @@ def write_config_grid(
 
 
 def read_config_grid(path: PathLike) -> RisConfig:
+    """The surface rows; the header is checked as a table's is, but not returned."""
     path, rows = Path(path), []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if set(stripped) - {"0", "1"}:
-            raise SceneFormatError(f"{path}:{lineno}: config rows must be 0/1 strings")
-        rows.append([c == "1" for c in stripped])
+    with open(path, encoding="utf-8") as fh:
+        _, start = _read_header(fh, path, CONFIG_MAGIC)
+        for lineno, line in enumerate(fh, start=start):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if set(stripped) - {"0", "1"}:
+                raise SceneFormatError(f"{path}:{lineno}: config rows must be 0/1 strings")
+            rows.append([c == "1" for c in stripped])
     if not rows:
         raise SceneFormatError(f"{path}: no configuration rows found")
     width = len(rows[0])
@@ -461,12 +471,10 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
             f"{path}: spec hash mismatch; header was edited or written by an "
             f"incompatible version"
         )
-    if data.shape[0] != spec.horizon:
-        raise TraceIntegrityError(
-            f"{path}: {data.shape[0]} curve rows but horizon {spec.horizon}"
-        )
+    if len(data) != spec.horizon:
+        raise TraceIntegrityError(f"{path}: {len(data)} curve rows but horizon {spec.horizon}")
     finals = []
-    for entry in filter(None, header.get("final_values_db", "").split(";")):
+    for entry in header.get("final_values_db", "").split(";"):
         try:
             finals.append(float(entry))
         except ValueError as exc:
@@ -477,14 +485,10 @@ def read_campaign(path: PathLike) -> LoadedCampaign:
     if np.isnan(finals).any():  # -inf stays: exact cancellation reads -inf
         raise TraceIntegrityError(f"{path}: final_values_db holds NaN; no run ends in NaN")
     # the statistics CampaignResult reports, from the same values in the same order
-    for key, stat in FINAL_STATS.items():
-        expected = fmt_float(float(stat(finals)))
-        if header.get(key) != expected:
-            raise TraceIntegrityError(
-                f"{path}: {key} is {header.get(key)} but final_values_db give {expected}"
-            )
-    if not np.array_equal(data[:, 0], np.arange(1, spec.horizon + 1)):
-        raise TraceIntegrityError(f"{path}: iteration column must count 1..horizon")
+    _check_header(path, header, "final_values_db",
+                  {key: fmt_float(float(stat(finals))) for key, stat in FINAL_STATS.items()})
+    _check_column(path, "iteration column must count 1..horizon",
+                  data[:, 0], np.arange(1, spec.horizon + 1))
     # each run's curve is non-increasing and the runs are summed in a fixed
     # order, so the mean can only fall (rounding is monotone); NaN fails too
     curve = data[:, 1].copy()  # so the (rows, 2) table is freed on return
@@ -517,7 +521,7 @@ def write_snapshot(
     path: PathLike,
     header: Optional[Mapping[str, str]] = None,
 ) -> None:
-    rows = (f"{fmt_float(f)},{fmt_float(v)}" for f, v in zip(freqs_hz, si_db))
+    rows = (f"{fmt_float(f)},{fmt_float(v)}" for f, v in zip(freqs_hz, si_db, strict=True))
     _write_table(path, SNAPSHOT_MAGIC, header, SNAPSHOT_COLUMNS, rows)
 
 

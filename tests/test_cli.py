@@ -429,6 +429,19 @@ class TestSnapshot:
         assert "cannot be read back" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_file_that_is_not_a_config_grid_is_domain_error(
+            self, small_scene_file, tmp_path, capsys):
+        trace = tmp_path / "g.csv"
+        run_cli("optimize", "--scene", small_scene_file, "--seed", 3,
+                "--buffer", 10, "--stall", 30, "--out", trace)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        rc = run_cli("snapshot", "--scene", small_scene_file, "--config", trace,
+                     "--points", 5, "--out", out)
+        assert rc == 2
+        assert "not a 'ris-sic config v1' file (bad first line)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_is_domain_error(self, small_scene_file, tmp_path, capsys):
         config_file = tmp_path / "c.txt"
         config_file.write_text("# ris-sic config v1\n01\n10\n")

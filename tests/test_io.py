@@ -409,14 +409,21 @@ class TestTraceFiles:
         assert np.isneginf(loaded.cumulative_db[-1])
 
     def test_tampered_cumulative_detected(self, tmp_path):
-        tr = make_trace([-40.0, -42.0, -41.0])
         path = tmp_path / "t.csv"
-        write_trace(tr, path)
-        lines = path.read_text().splitlines()
-        lines[-1] = lines[-1].replace("-42.0", "-43.0")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceIntegrityError, match="iteration 3"):
-            read_trace(path)
+        # the signed zero once read back, as 0.0 == -0.0; the NaN rows keep the
+        # header's iterations_total and final_db true, and NaN equals nothing
+        for values, row, edited, where in [
+            ([-40.0, -42.0, -41.0], "3,-41.0,-42.0", "3,-41.0,-43.0", 3),
+            ([-0.0, 0.0], "1,-0.0,-0.0", "1,-0.0,0.0", 1),
+            ([-1.0, -1.0], "2,-1.0,-1.0", "2,nan,nan", 2),
+        ]:
+            write_trace(make_trace(values), path)
+            text = path.read_text()
+            assert f"\n{row}\n" in text
+            path.write_text(text.replace(f"\n{row}\n", f"\n{edited}\n"))
+            with pytest.raises(TraceIntegrityError, match=r"cumulative column is not the "
+                               rf"running minimum \(first mismatch at iteration {where}\)"):
+                read_trace(path)
 
     def test_tampered_iteration_detected(self, tmp_path):
         tr = make_trace([-40.0, -42.0])
@@ -444,8 +451,10 @@ class TestTraceFiles:
             write_trace(make_trace([-40.0, -42.0]), path, header=header)
         assert not path.exists()
 
-    # at one time the last of two lines read back without a word
-    @pytest.mark.parametrize("line", ["# algorithm: random", "#  algorithm :random"])
+    # at one time the last of two lines read back without a word, and a second
+    # columns line was checked again
+    @pytest.mark.parametrize("line", ["# algorithm: random", "#  algorithm :random",
+                                      "# columns: iteration,evaluated_db,cumulative_db"])
     def test_repeated_header_key_rejected(self, tmp_path, line):
         path = tmp_path / "t.csv"
         write_trace(make_trace([-40.0, -42.0]), path)
@@ -453,8 +462,10 @@ class TestTraceFiles:
         assert lines[1] == "# algorithm: greedy"
         lines.insert(2, line)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceIntegrityError,
-                           match=r"t\.csv:3: duplicate header key 'algorithm', first at line 2"):
+        keys = [text.lstrip("#").partition(":")[0].strip() for text in lines]
+        first, again = [at for at, key in enumerate(keys, start=1) if key == keys[2]]
+        with pytest.raises(TraceIntegrityError, match=rf"t\.csv:{again}: duplicate header key "
+                           rf"'{keys[2]}', first at line {first}"):
             read_trace(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -550,7 +561,9 @@ class TestConfigGrids:
         rng = np.random.default_rng(3)
         config = RisConfig(rng.random((4, 6)) < 0.5)
         path = tmp_path / "c.txt"
-        write_config_grid(config, path, header={"si_db": "-88.5"})
+        # the header ris-sic oracle writes: the reading and the scene
+        write_config_grid(config, path,
+                          header={"si_db": "-88.5", **flatten_scene_params(_SMALL, "scene.")})
         assert read_config_grid(path) == config
         assert "# si_db: -88.5" in path.read_text()
 
@@ -570,6 +583,21 @@ class TestConfigGrids:
         path = tmp_path / "c.txt"
         path.write_text("# ris-sic config v1\n")
         with pytest.raises(SceneFormatError, match="no configuration rows"):
+            read_config_grid(path)
+
+    # each of these once loaded: the reader skipped every '#' line, the magic line included
+    @pytest.mark.parametrize("text, error, message", [
+        ("# ris-sic snapshot v1\n# columns: frequency_hz,si_db\n0101\n1100\n",
+         TraceIntegrityError, r"c\.txt: not a 'ris-sic config v1' file \(bad first line\)"),
+        ("# ris-sic config v1\n# si_db: -88.5\n# si_db: -90.0\n0101\n",
+         TraceIntegrityError, r"c\.txt:3: duplicate header key 'si_db', first at line 2"),
+        ("# ris-sic config v1\n0101\n# si_db: -88.5\n1100\n",
+         SceneFormatError, r"c\.txt:3: config rows must be 0/1 strings"),
+    ], ids=["snapshot magic", "repeated key", "comment after a row"])
+    def test_rejects_bad_headers(self, tmp_path, text, error, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
             read_config_grid(path)
 
 
@@ -623,6 +651,8 @@ class TestCampaignFiles:
          r"scene\.geometry\.nx: 'abc' is not a valid int"),
         ([("# final_values_db: ", "# final_values_db: abc;")],
          r"c\.csv: bad final_values_db entry 'abc'"),
+        ([("# final_values_db: ", "# final_values_db: ;")],
+         r"c\.csv: bad final_values_db entry ''"),
     ])
     def test_edits_inconsistent_with_the_runs_detected(self, tmp_path, edits, message):
         path = tmp_path / "c.csv"
@@ -720,6 +750,16 @@ class TestSnapshotFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceIntegrityError, match=rf"s\.csv:{len(lines)}: row has 3 fields"):
             read_snapshot(path)
+
+    def test_columns_of_unequal_length_refused(self, tmp_path):
+        # rows stream to the temp file, so the refusal leaves the old file as it was
+        path = tmp_path / "s.csv"
+        write_snapshot(np.array([5.38e9, 5.39e9]), np.array([-40.0, -41.0]), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="argument 2 is shorter than argument 1"):
+            write_snapshot(np.array([5.38e9, 5.39e9, 5.4e9]), np.array([-40.0, -41.0]), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
     def test_unexpected_columns_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
